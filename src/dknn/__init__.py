@@ -27,31 +27,17 @@ from .harness import (
     split,
     sweep,
 )
-from .mathcore import (
-    cross_entropy,
-    finite_diff_gradient,
-    is_distribution,
-    kl_divergence,
-    l2_distance,
-    sharpen,
-    softmax,
-)
+from .mathcore import is_distribution, sharpen, softmax
 from .model import (
-    Gradients,
     LLConfig,
     LossBreakdown,
     ModelParams,
     classify,
-    contrastive_loss,
     encode,
     gradients,
-    label_attention,
-    label_similarity,
     load_checkpoint,
     model_fingerprint,
     save_checkpoint,
-    scaled_label_matrix,
-    soft_target,
     total_loss,
 )
 from .rng import Rng

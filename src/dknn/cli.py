@@ -43,7 +43,7 @@ from .harness import (
     split,
     sweep,
 )
-from .model import LLConfig, load_checkpoint, save_checkpoint
+from .model import LLConfig, ModelParams, load_checkpoint, save_checkpoint
 from .stores import InferenceConfig, build_stores, load_store, predict, save_store
 from .trainer import TrainConfig, save_history, train
 
@@ -95,24 +95,30 @@ class Option:
             parser.add_argument(flag, dest=self.key, default=None, help=self.help)
 
     def convert(self, raw):
-        if raw is None:
-            return None
-        if isinstance(raw, bool):
+        if raw is None or isinstance(raw, bool):
             return raw
         if self.kind == "int":
-            return int(raw)
+            return self._number(int, raw)
         if self.kind == "float":
-            return float(raw)
+            return self._number(float, raw)
         if self.kind in ("bool", "flag"):
-            return _parse_bool(str(raw), self.key) if not isinstance(raw, bool) else raw
+            return _parse_bool(str(raw), self.key)
         if self.kind == "floats":
             if isinstance(raw, (list, tuple)):
-                return [float(v) for v in raw]
+                return [self._number(float, v) for v in raw]
             parts = [p for p in str(raw).split(",") if p.strip() != ""]
             if not parts:
                 raise ValidationError(f"{self.key}: empty value list")
-            return [float(p) for p in parts]
+            return [self._number(float, p) for p in parts]
         return str(raw)
+
+    def _number(self, kind, raw):
+        try:
+            return kind(raw)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{self.key}: cannot parse {kind.__name__} from {raw!r}"
+            ) from None
 
 
 _COMMON = [
@@ -302,6 +308,23 @@ def _load_featurizer(path: Path) -> tuple[Featurizer, list[str]]:
         raise CorruptArtifactError(f"{path}: invalid featurizer file: {exc}") from exc
 
 
+def _load_model(cfg: dict) -> tuple[Path, ModelParams, Featurizer, list[str]]:
+    """Checkpoint plus its featurizer sidecar (default: next to the
+    checkpoint), checked to agree on the feature dimension."""
+    ckpt_path = Path(str(_require(cfg, "checkpoint")))
+    if not ckpt_path.is_file():
+        raise ValidationError(f"checkpoint not found: {ckpt_path}")
+    params = load_checkpoint(ckpt_path)
+    feat_path = Path(str(cfg["featurizer_file"] or ckpt_path.parent / "featurizer.json"))
+    featurizer, label_names = _load_featurizer(feat_path)
+    if featurizer.dim != params.feature_dim:
+        raise ArtifactMismatchError(
+            f"featurizer dim {featurizer.dim} != checkpoint feature dim "
+            f"{params.feature_dim}"
+        )
+    return ckpt_path, params, featurizer, label_names
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -337,19 +360,9 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_build_store(cfg: dict) -> int:
-    ckpt_path = Path(str(_require(cfg, "checkpoint")))
-    if not ckpt_path.is_file():
-        raise ValidationError(f"checkpoint not found: {ckpt_path}")
     out_dir = Path(str(_require(cfg, "out")))
     dataset = _load_dataset(cfg)
-    params = load_checkpoint(ckpt_path)
-    feat_path = Path(str(cfg["featurizer_file"] or ckpt_path.parent / "featurizer.json"))
-    featurizer, _names = _load_featurizer(feat_path)
-    if featurizer.dim != params.feature_dim:
-        raise ArtifactMismatchError(
-            f"featurizer dim {featurizer.dim} != checkpoint feature dim "
-            f"{params.feature_dim}"
-        )
+    _, params, featurizer, _names = _load_model(cfg)
     if dataset.num_labels > params.n_classes:
         raise ArtifactMismatchError(
             f"dataset has {dataset.num_labels} labels, model only {params.n_classes}"
@@ -381,12 +394,7 @@ def _breakdown_json(text: str, breakdown, label_names: list[str]) -> str:
 
 
 def _cmd_predict(cfg: dict) -> int:
-    ckpt_path = Path(str(_require(cfg, "checkpoint")))
-    if not ckpt_path.is_file():
-        raise ValidationError(f"checkpoint not found: {ckpt_path}")
-    params = load_checkpoint(ckpt_path)
-    feat_path = Path(str(cfg["featurizer_file"] or ckpt_path.parent / "featurizer.json"))
-    featurizer, label_names = _load_featurizer(feat_path)
+    ckpt_path, params, featurizer, label_names = _load_model(cfg)
     icfg = _inference_config(cfg)
 
     text_store = pro_store = None

@@ -18,7 +18,8 @@ class ArtifactMismatchError(DknnError):
 
 
 class CorruptArtifactError(DknnError):
-    """A binary artifact failed magic/version/length checks."""
+    """An artifact failed its load-time checks: magic, version, length,
+    finite weights, label range."""
 
 
 class NonFiniteError(DknnError):

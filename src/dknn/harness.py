@@ -485,10 +485,6 @@ class RowSpec:
     noise_ratio: float | None = None  # None = use the experiment default
 
 
-def _ll_key(ll: LLConfig) -> tuple:
-    return (ll.enable_kl, ll.enable_cl, ll.rho, ll.cosine_m, ll.w_ce, ll.w_kl, ll.w_cl)
-
-
 def _split_hash(train_set: Dataset, test_set: Dataset) -> int:
     parts = []
     for part in (train_set, test_set):
@@ -522,7 +518,7 @@ def _run_repeat(cfg: ExperimentConfig, rows: list[RowSpec], r: int) -> list[floa
     stores: dict[tuple, tuple] = {}
 
     def get_model(ll: LLConfig, ratio: float):
-        key = (_ll_key(ll), ratio)
+        key = (ll, ratio)
         if key not in trained:
             tr, _ = noisy_sets(ratio)
             tcfg = replace(cfg.train, seed=train_seed, ll=ll)
@@ -531,7 +527,7 @@ def _run_repeat(cfg: ExperimentConfig, rows: list[RowSpec], r: int) -> list[floa
         return trained[key]
 
     def get_stores(ll: LLConfig, ratio: float):
-        key = (_ll_key(ll), ratio)
+        key = (ll, ratio)
         if key not in stores:
             params, _fp = get_model(ll, ratio)
             tr, _ = noisy_sets(ratio)

@@ -7,12 +7,10 @@ done in double precision. Probability vectors ("distributions") are plain
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-CE_EPS = 1e-12  # clamp inside cross_entropy
-KL_EPS = 1e-12  # additive smoothing inside kl_divergence
+CE_EPS = 1e-12  # lower clamp on p[y] inside cross entropy
+KL_EPS = 1e-12  # additive smoothing of both KL arguments
 
 DISTRIBUTION_TOL = 1e-9
 
@@ -47,36 +45,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def l2_distance(a, b) -> float:
-    """Euclidean distance; symmetric, zero exactly when a == b bitwise."""
-    av = _as_vector(a, "a")
-    bv = _as_vector(b, "b")
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    d = av - bv
-    return float(np.sqrt(np.dot(d, d)))
-
-
-def kl_divergence(a, b, eps: float = KL_EPS) -> float:
-    """KL divergence of a from b, sum(a~ * ln(a~/b~)).
-
-    Both arguments are smoothed as (x + eps) and renormalized before the
-    accumulation, so one-hot vectors are handled without log(0). Asymmetric;
-    nonnegative up to roundoff (>= -1e-9).
-    """
-    av = _as_vector(a, "a")
-    bv = _as_vector(b, "b")
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    at = av + eps
-    at /= at.sum()
-    bt = bv + eps
-    bt /= bt.sum()
-    return float(np.sum(at * (np.log(at) - np.log(bt))))
-
-
 def sharpen(p) -> np.ndarray:
     """Square-and-renormalize a distribution to boost high-confidence mass.
 
@@ -92,33 +60,3 @@ def sharpen(p) -> np.ndarray:
         raise ValueError("sharpen input must have a positive entry")
     f = (arr * arr) / total
     return f / f.sum()
-
-
-def cross_entropy(p, y: int) -> float:
-    """-ln(p[y]) with the probability clamped below at 1e-12."""
-    arr = _as_vector(p, "p")
-    y = int(y)
-    if not 0 <= y < arr.size:
-        raise ValueError(f"class index {y} out of range for {arr.size} classes")
-    return float(-np.log(max(arr[y], CE_EPS)))
-
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], x, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient oracle: (f(x+h*e_i) - f(x-h*e_i)) / 2h."""
-    xv = _as_vector(x, "x")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    grad = np.empty_like(xv)
-    for i in range(xv.size):
-        xp = xv.copy()
-        xp[i] += h
-        xm = xv.copy()
-        xm[i] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -10,7 +10,7 @@ per-example soft targets and a margin contrastive loss:
 * contrastive:  mean over ordered pairs i != j of max(0, rho - M_ii + M_ij)
 * soft target:  q = softmax(row y of M), pulled toward p with KL(q || p)
 
-total = ce + kl + cl. Gradients for every parameter are analytic (hand
+total = ce + kl + cl. The gradient of every parameter is analytic (hand
 backprop); finite differences are only used as a test oracle.
 """
 
@@ -29,34 +29,28 @@ CHECKPOINT_MAGIC = b"DKNM"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class LLConfig:
-    """Switches and weights for the label-distribution-learning losses.
+    """Switches for the label-distribution-learning losses.
 
-    rho is the contrastive margin in [0, 1]. The loss weights default to 1.0
-    (plain unweighted sum); cosine_m row-normalizes the scaled label matrix
-    before the similarity product, making M a cosine-similarity matrix.
+    rho is the contrastive margin in [0, 1]. The objective is the plain sum
+    ce + kl + cl; enable_kl / enable_cl drop a term for ablations. Frozen, so
+    a config is hashable and can key caches of trained models.
     """
 
     rho: float = 0.5
     enable_kl: bool = True
     enable_cl: bool = True
-    cosine_m: bool = False
-    w_ce: float = 1.0
-    w_kl: float = 1.0
-    w_cl: float = 1.0
 
     def validate(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if min(self.w_ce, self.w_kl, self.w_cl) < 0.0:
-            raise ValueError("loss weights must be nonnegative")
 
 
 @dataclass
 class ModelParams:
-    """All trainable tensors. Shapes: w1 (F,d), b1 (d,), w2 (d,c), b2 (c,),
-    label_emb (c,d)."""
+    """All trainable tensors, or their gradients (same names and shapes).
+    Shapes: w1 (F,d), b1 (d,), w2 (d,c), b2 (c,), label_emb (c,d)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -98,15 +92,6 @@ class ModelParams:
             "label_emb": self.label_emb,
         }
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.w1.copy(),
-            self.b1.copy(),
-            self.w2.copy(),
-            self.b2.copy(),
-            self.label_emb.copy(),
-        )
-
 
 @dataclass
 class LossBreakdown:
@@ -114,24 +99,6 @@ class LossBreakdown:
     kl: float
     cl: float
     total: float
-
-
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    label_emb: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "label_emb": self.label_emb,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -154,81 +121,9 @@ def classify(h: np.ndarray, params: ModelParams) -> np.ndarray:
     return softmax(h @ params.w2 + params.b2)
 
 
-def label_attention(h: np.ndarray, label_emb: np.ndarray) -> np.ndarray:
-    """Compatibility of h with every label embedding: softmax(h . l_i)."""
-    h = np.asarray(h, dtype=np.float64)
-    label_emb = np.asarray(label_emb, dtype=np.float64)
-    if label_emb.ndim != 2 or h.shape != (label_emb.shape[1],):
-        raise ValueError("label_emb must be (c, d) with d matching h")
-    return softmax(h @ label_emb.T)
-
-
-def scaled_label_matrix(alpha: np.ndarray, label_emb: np.ndarray) -> np.ndarray:
-    """Row i of the result is alpha_i * l_i."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    label_emb = np.asarray(label_emb, dtype=np.float64)
-    if alpha.shape != (label_emb.shape[0],):
-        raise ValueError("alpha length must equal the number of label rows")
-    return alpha[:, None] * label_emb
-
-
 def _mirror(m: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one: exact symmetry."""
     return np.triu(m) + np.triu(m, 1).T
-
-
-def label_similarity(lprime: np.ndarray) -> np.ndarray:
-    """Gram matrix of the scaled label rows, mirrored to exact symmetry."""
-    lp = np.asarray(lprime, dtype=np.float64)
-    if lp.ndim != 2:
-        raise ValueError("lprime must be a 2-D matrix")
-    return _mirror(lp @ lp.T)
-
-
-def contrastive_loss(m: np.ndarray, rho: float) -> float:
-    """Mean hinge over ordered label pairs i != j: max(0, rho - M_ii + M_ij).
-
-    Defined as 0 for a single-class problem (no pairs to contrast).
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("m must be square")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    c = m.shape[0]
-    if c < 2:
-        return 0.0
-    diag = np.diag(m)
-    hinge = rho - diag[:, None] + m
-    off = ~np.eye(c, dtype=bool)
-    return float(np.sum(np.maximum(hinge, 0.0)[off]) / (c * (c - 1)))
-
-
-def contrastive_grad_m(m: np.ndarray, rho: float) -> np.ndarray:
-    """Subgradient of contrastive_loss w.r.t. every entry of M.
-
-    Off-diagonal (i,j): 1/(c(c-1)) when the (i,j) hinge is active, else 0.
-    Diagonal (i,i): -(active count in row i)/(c(c-1)).
-    """
-    m = np.asarray(m, dtype=np.float64)
-    c = m.shape[0]
-    if c < 2:
-        return np.zeros_like(m)
-    kappa = 1.0 / (c * (c - 1))
-    diag = np.diag(m)
-    active = ((rho - diag[:, None] + m) > 0.0) & ~np.eye(c, dtype=bool)
-    grad = active * kappa
-    grad[np.arange(c), np.arange(c)] = -kappa * active.sum(axis=1)
-    return grad
-
-
-def soft_target(m: np.ndarray, y: int) -> np.ndarray:
-    """Soft label distribution q = softmax(row y of M)."""
-    m = np.asarray(m, dtype=np.float64)
-    y = int(y)
-    if not 0 <= y < m.shape[0]:
-        raise ValueError(f"class index {y} out of range")
-    return softmax(m[y])
 
 
 def forward_batch(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -243,19 +138,13 @@ def forward_batch(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.nd
 # loss + analytic gradients (batched core; single-example ops wrap it)
 
 
-def _normalized_label_rows(label_emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((label_emb * label_emb).sum(axis=1))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return label_emb / safe[:, None], safe
-
-
 def batch_loss_and_gradients(
     x: np.ndarray,
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
     with_grads: bool = True,
-) -> tuple[LossBreakdown, Gradients | None]:
+) -> tuple[LossBreakdown, ModelParams | None]:
     """Mean loss over a batch and (optionally) its analytic gradients.
 
     Per-example quantities (alpha, M, q) are computed for every row; the
@@ -282,26 +171,17 @@ def batch_loss_and_gradients(
     p = softmax_rows(h @ params.w2 + params.b2)
     py = p[rows, y]
     ce_vec = -np.log(np.maximum(py, CE_EPS))
-    ce = cfg.w_ce * float(ce_vec.mean())
+    ce = float(ce_vec.mean())
 
     kl_on = cfg.enable_kl and c >= 1
     cl_on = cfg.enable_cl and c >= 2
     ll_on = kl_on or cl_on
 
-    alpha = None
-    gram = None
-    m_all = None
+    alpha = gram = m_all = None
     if ll_on:
-        if cfg.cosine_m:
-            # alpha_i > 0, so normalizing alpha_i * l_i equals normalizing l_i:
-            # M becomes the (example-independent) cosine similarity of label rows.
-            unit, norms = _normalized_label_rows(lbl)
-            m_shared = _mirror(unit @ unit.T)
-            m_all = np.broadcast_to(m_shared, (batch, c, c))
-        else:
-            alpha = softmax_rows(h @ lbl.T)
-            gram = _mirror(lbl @ lbl.T)
-            m_all = alpha[:, :, None] * alpha[:, None, :] * gram
+        alpha = softmax_rows(h @ lbl.T)
+        gram = _mirror(lbl @ lbl.T)
+        m_all = alpha[:, :, None] * alpha[:, None, :] * gram
 
     kl = 0.0
     q = qn = pn = sq = sp = kl_vec = None
@@ -315,7 +195,7 @@ def batch_loss_and_gradients(
         sp = ps.sum(axis=1, keepdims=True)
         pn = ps / sp
         kl_vec = (qn * (np.log(qn) - np.log(pn))).sum(axis=1)
-        kl = cfg.w_kl * float(kl_vec.mean())
+        kl = float(kl_vec.mean())
 
     cl = 0.0
     active = None
@@ -327,7 +207,7 @@ def batch_loss_and_gradients(
         off = ~np.eye(c, dtype=bool)
         active = (hinge > 0.0) & off
         cl_vec = np.where(active, hinge, 0.0).sum(axis=(1, 2)) * kappa
-        cl = cfg.w_cl * float(cl_vec.mean())
+        cl = float(cl_vec.mean())
 
     breakdown = LossBreakdown(ce=ce, kl=kl, cl=cl, total=ce + kl + cl)
     if not with_grads:
@@ -336,13 +216,13 @@ def batch_loss_and_gradients(
     # ----- backward -----
     onehot = np.zeros((batch, c))
     onehot[rows, y] = 1.0
-    ce_scale = cfg.w_ce / batch
+    ce_scale = 1.0 / batch
     ce_live = (py >= CE_EPS)[:, None]  # clamped rows contribute no CE gradient
     dz2 = np.where(ce_live, (p - onehot) * ce_scale, 0.0)
 
     dmrow = None
     if kl_on:
-        kl_scale = cfg.w_kl / batch
+        kl_scale = 1.0 / batch
         g_p = (1.0 - qn / pn) / sp * kl_scale
         dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
         g_q = (np.log(qn) - np.log(pn) - kl_vec[:, None]) / sq * kl_scale
@@ -353,28 +233,22 @@ def batch_loss_and_gradients(
     if ll_on:
         dm = np.zeros((batch, c, c))
         if cl_on:
-            cl_scale = cfg.w_cl * kappa / batch
+            cl_scale = kappa / batch
             dm += active * cl_scale
             dm[:, np.arange(c), np.arange(c)] -= cl_scale * active.sum(axis=2)
         if kl_on:
             dm[rows, y, :] += dmrow
         sym = dm + dm.transpose(0, 2, 1)
-        if cfg.cosine_m:
-            # M does not depend on alpha; chain through unit rows u_i = l_i/|l_i|.
-            sym_total = sym.sum(axis=0)
-            row_dot = (sym_total * m_shared).sum(axis=1)
-            d_label += (sym_total @ unit - row_dot[:, None] * unit) / norms[:, None]
-        else:
-            dalpha = np.einsum("bij,ij,bj->bi", sym, gram, alpha)
-            weights = alpha[:, :, None] * sym * alpha[:, None, :]
-            d_label += np.einsum("bij,jd->id", weights, lbl)
-            dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-            dh_att = dt @ lbl
-            d_label += dt.T @ h
+        dalpha = np.einsum("bij,ij,bj->bi", sym, gram, alpha)
+        weights = alpha[:, :, None] * sym * alpha[:, None, :]
+        d_label += np.einsum("bij,jd->id", weights, lbl)
+        dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        dh_att = dt @ lbl
+        d_label += dt.T @ h
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)
-    grads = Gradients(
+    grads = ModelParams(
         w1=x.T @ dz1,
         b1=dz1.sum(axis=0),
         w2=h.T @ dz2,
@@ -393,7 +267,7 @@ def total_loss(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> Los
     return breakdown
 
 
-def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> Gradients:
+def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> ModelParams:
     """Analytic gradients of total_loss w.r.t. every parameter tensor."""
     x = np.asarray(x, dtype=np.float64)
     _, grads = batch_loss_and_gradients(
@@ -467,10 +341,15 @@ def params_from_bytes(blob: bytes, source: str = "<bytes>") -> ModelParams:
             )
         )
         offset += 4 * count
-    return ModelParams(
+    params = ModelParams(
         w1=arrays[0].reshape(f, d),
         b1=arrays[1],
         w2=arrays[2].reshape(d, c),
         b2=arrays[3],
         label_emb=arrays[4].reshape(c, d),
     )
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CorruptArtifactError(f"{source}: {exc}") from exc
+    return params

@@ -50,7 +50,6 @@ class InferenceConfig:
     lam: float = 0.5  # interpolation weight on the kNN distribution
     use_text_knn: bool = True
     use_pro_knn: bool = True
-    flip_kl: bool = False  # sensitivity switch: KL(query || key) instead
 
     def validate(self) -> None:
         if self.k < 1:
@@ -88,6 +87,10 @@ class RepresentationStore:
         labels = np.ascontiguousarray(labels, dtype=np.uint32)
         if keys.ndim != 2 or keys.shape[0] != labels.shape[0]:
             raise ValidationError("keys must be (N, dim) with one label per row")
+        if labels.size and int(labels.max()) >= n_classes:
+            raise ValidationError(
+                f"label {int(labels.max())} out of range for {n_classes} classes"
+            )
         if StoreMetric(metric) == StoreMetric.KL and keys.shape[0]:
             sums = keys.astype(np.float64).sum(axis=1)
             if np.abs(sums - 1.0).max() > 1e-6:
@@ -113,21 +116,17 @@ class RepresentationStore:
             self._keys64 = self.keys.astype(np.float64)
         return self._keys64
 
-    def _kl_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # smoothed/renormalized keys, their log, and sum(k~ ln k~), cached
+    def _kl_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        # smoothed/renormalized keys and sum(k~ ln k~), cached
         if self._kl_cache is None:
             k = self.keys_f64() + KL_EPS
             k /= k.sum(axis=1, keepdims=True)
-            logk = np.log(k)
-            self._kl_cache = (k, logk, (k * logk).sum(axis=1))
+            self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
         return self._kl_cache
 
-    def distances(self, query: np.ndarray, flip_kl: bool = False) -> np.ndarray:
-        """f64 distance from every stored key to the query.
-
-        KL defaults to key-first, KL(key || query); flip_kl computes
-        KL(query || key) instead (sensitivity studies only).
-        """
+    def distances(self, query: np.ndarray) -> np.ndarray:
+        """f64 distance from every stored key to the query: Euclidean for an
+        L2 store, key-first KL(key || query) for a KL store."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValidationError(
@@ -138,12 +137,9 @@ class RepresentationStore:
             return np.sqrt((diff * diff).sum(axis=1))
         if not is_distribution(q, tol=1e-6):
             raise ValidationError("KL-metric store requires a distribution query")
-        keys_n, log_keys, self_term = self._kl_terms()
+        keys_n, self_term = self._kl_terms()
         qn = q + KL_EPS
         qn = qn / qn.sum()
-        if flip_kl:
-            log_qn = np.log(qn)
-            return float((qn * log_qn).sum()) - log_keys @ qn
         return self_term - keys_n @ np.log(qn)
 
 
@@ -158,17 +154,13 @@ def build_stores(
     h, p = forward_batch(x, params)
     labels = np.asarray(train_set.labels, dtype=np.uint32)
     c = params.n_classes
-    if np.any(labels >= c):
-        raise ValidationError("training labels exceed the model's class count")
     fp = model_fingerprint(params)
     s_text = RepresentationStore(h, labels, StoreMetric.L2, c, fp)
     s_pro = RepresentationStore(p, labels, StoreMetric.KL, c, fp)
     return s_text, s_pro
 
 
-def query(
-    store: RepresentationStore, q: np.ndarray, k: int, flip_kl: bool = False
-) -> list[Neighbor]:
+def query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
     """Exact top-k by ascending (distance, store index).
 
     Linear scan with a bounded max-heap of size k; returns min(k, N) items
@@ -178,7 +170,7 @@ def query(
         raise ValidationError("k must be >= 1")
     if store.n == 0:
         raise ValidationError("store is empty")
-    dist = store.distances(q, flip_kl=flip_kl)
+    dist = store.distances(q)
     limit = min(k, store.n)
     # max-heap via negation: heap[0] is the current worst of the kept set
     heap: list[tuple[float, int]] = []
@@ -265,7 +257,7 @@ def predict(
         p_text_sharp = sharpen(neighbor_distribution(nbs, params.n_classes))
     if cfg.use_pro_knn:
         _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
-        nbs = query(pro_store, p_model, cfg.k, flip_kl=cfg.flip_kl)
+        nbs = query(pro_store, p_model, cfg.k)
         p_pro_sharp = sharpen(neighbor_distribution(nbs, params.n_classes))
 
     if p_text_sharp is not None and p_pro_sharp is not None:
@@ -357,4 +349,7 @@ def load_store(path) -> RepresentationStore:
     keys = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
     offset += 4 * n * dim
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset)
-    return RepresentationStore(keys, labels, StoreMetric(metric), c, fingerprint)
+    try:
+        return RepresentationStore(keys, labels, StoreMetric(metric), c, fingerprint)
+    except ValidationError as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from exc

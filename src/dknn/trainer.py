@@ -17,14 +17,7 @@ import numpy as np
 
 from .exceptions import NonFiniteError, ValidationError
 from .features import Featurizer
-from .model import (
-    Gradients,
-    LLConfig,
-    LossBreakdown,
-    ModelParams,
-    batch_loss_and_gradients,
-    forward_batch,
-)
+from .model import LLConfig, ModelParams, batch_loss_and_gradients, forward_batch
 from .rng import Rng
 
 
@@ -99,7 +92,7 @@ class AdamState:
 
 
 def adam_step(
-    params: ModelParams, grads: Gradients, state: AdamState, config: TrainConfig
+    params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ) -> tuple[ModelParams, AdamState]:
     """Standard bias-corrected Adam update, applied in place to params/state."""
     gtensors = grads.tensors()
@@ -220,11 +213,3 @@ def evaluate(params: ModelParams, featurizer: Featurizer, dataset) -> float:
         raise ValidationError("dataset labels exceed the model's class count")
     x = featurizer.transform_many(dataset.texts)
     return _accuracy(params, x, y)
-
-
-def mean_breakdown(records: list[LossBreakdown]) -> LossBreakdown:
-    """Average component-wise; total recomputed as the exact sum."""
-    ce = float(np.mean([r.ce for r in records]))
-    kl = float(np.mean([r.kl for r in records]))
-    cl = float(np.mean([r.cl for r in records]))
-    return LossBreakdown(ce=ce, kl=kl, cl=cl, total=ce + kl + cl)

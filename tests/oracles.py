@@ -1,0 +1,156 @@
+"""Single-example reference implementations used as test oracles.
+
+The package computes everything through batched code paths (see
+``dknn.model.batch_loss_and_gradients`` and ``dknn.stores``). These
+functions restate the paper's equations one example at a time, so tests can
+check the batched results against an independent, obviously-correct form.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax
+from dknn.model import _mirror
+
+
+# ---------------------------------------------------------------------------
+# label-distribution-learning terms for one example
+
+
+def label_attention(h: np.ndarray, label_emb: np.ndarray) -> np.ndarray:
+    """Compatibility of h with every label embedding: softmax(h . l_i)."""
+    h = np.asarray(h, dtype=np.float64)
+    label_emb = np.asarray(label_emb, dtype=np.float64)
+    if label_emb.ndim != 2 or h.shape != (label_emb.shape[1],):
+        raise ValueError("label_emb must be (c, d) with d matching h")
+    return softmax(h @ label_emb.T)
+
+
+def scaled_label_matrix(alpha: np.ndarray, label_emb: np.ndarray) -> np.ndarray:
+    """Row i of the result is alpha_i * l_i."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    label_emb = np.asarray(label_emb, dtype=np.float64)
+    if alpha.shape != (label_emb.shape[0],):
+        raise ValueError("alpha length must equal the number of label rows")
+    return alpha[:, None] * label_emb
+
+
+def label_similarity(lprime: np.ndarray) -> np.ndarray:
+    """Gram matrix of the scaled label rows, mirrored to exact symmetry."""
+    lp = np.asarray(lprime, dtype=np.float64)
+    if lp.ndim != 2:
+        raise ValueError("lprime must be a 2-D matrix")
+    return _mirror(lp @ lp.T)
+
+
+def contrastive_loss(m: np.ndarray, rho: float) -> float:
+    """Mean hinge over ordered label pairs i != j: max(0, rho - M_ii + M_ij).
+
+    Defined as 0 for a single-class problem (no pairs to contrast).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("m must be square")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    c = m.shape[0]
+    if c < 2:
+        return 0.0
+    diag = np.diag(m)
+    hinge = rho - diag[:, None] + m
+    off = ~np.eye(c, dtype=bool)
+    return float(np.sum(np.maximum(hinge, 0.0)[off]) / (c * (c - 1)))
+
+
+def contrastive_grad_m(m: np.ndarray, rho: float) -> np.ndarray:
+    """Subgradient of contrastive_loss w.r.t. every entry of M.
+
+    Off-diagonal (i,j): 1/(c(c-1)) when the (i,j) hinge is active, else 0.
+    Diagonal (i,i): -(active count in row i)/(c(c-1)).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    c = m.shape[0]
+    if c < 2:
+        return np.zeros_like(m)
+    kappa = 1.0 / (c * (c - 1))
+    diag = np.diag(m)
+    active = ((rho - diag[:, None] + m) > 0.0) & ~np.eye(c, dtype=bool)
+    grad = active * kappa
+    grad[np.arange(c), np.arange(c)] = -kappa * active.sum(axis=1)
+    return grad
+
+
+def soft_target(m: np.ndarray, y: int) -> np.ndarray:
+    """Soft label distribution q = softmax(row y of M)."""
+    m = np.asarray(m, dtype=np.float64)
+    y = int(y)
+    if not 0 <= y < m.shape[0]:
+        raise ValueError(f"class index {y} out of range")
+    return softmax(m[y])
+
+
+# ---------------------------------------------------------------------------
+# distances, cross entropy and finite differences
+
+
+def l2_distance(a, b) -> float:
+    """Euclidean distance; symmetric, zero exactly when a == b bitwise."""
+    av = _as_vector(a, "a")
+    bv = _as_vector(b, "b")
+    if av.shape != bv.shape:
+        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
+    d = av - bv
+    return float(np.sqrt(np.dot(d, d)))
+
+
+def kl_divergence(a, b, eps: float = KL_EPS) -> float:
+    """KL divergence of a from b, sum(a~ * ln(a~/b~)).
+
+    Both arguments are smoothed as (x + eps) and renormalized before the
+    accumulation, so one-hot vectors are handled without log(0). Asymmetric;
+    nonnegative up to roundoff (>= -1e-9).
+    """
+    av = _as_vector(a, "a")
+    bv = _as_vector(b, "b")
+    if av.shape != bv.shape:
+        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    at = av + eps
+    at /= at.sum()
+    bt = bv + eps
+    bt /= bt.sum()
+    return float(np.sum(at * (np.log(at) - np.log(bt))))
+
+
+def cross_entropy(p, y: int) -> float:
+    """-ln(p[y]) with the probability clamped below at 1e-12."""
+    arr = _as_vector(p, "p")
+    y = int(y)
+    if not 0 <= y < arr.size:
+        raise ValueError(f"class index {y} out of range for {arr.size} classes")
+    return float(-np.log(max(arr[y], CE_EPS)))
+
+
+def finite_diff_gradient(
+    f: Callable[[np.ndarray], float], x, h: float = 1e-5
+) -> np.ndarray:
+    """Central-difference gradient oracle: (f(x+h*e_i) - f(x-h*e_i)) / 2h."""
+    xv = _as_vector(x, "x")
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    grad = np.empty_like(xv)
+    for i in range(xv.size):
+        xp = xv.copy()
+        xp[i] += h
+        xm = xv.copy()
+        xm[i] -= h
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
+        grad[i] = (fp - fm) / (2.0 * h)
+    return grad

@@ -23,17 +23,14 @@ from dknn.harness import (
     run_experiment,
     split,
 )
-from dknn.mathcore import is_distribution, kl_divergence, sharpen, softmax
+from dknn.mathcore import is_distribution, sharpen, softmax
 from dknn.model import (
     LLConfig,
     ModelParams,
     classify,
     encode,
     gradients,
-    label_attention,
-    label_similarity,
     model_fingerprint,
-    scaled_label_matrix,
     total_loss,
 )
 from dknn.rng import Rng
@@ -48,6 +45,7 @@ from dknn.stores import (
     save_store,
 )
 from dknn.trainer import TrainConfig, train
+from oracles import kl_divergence, label_attention, label_similarity, scaled_label_matrix
 
 
 def _report(num: int, name: str, t0: float) -> None:

@@ -1,8 +1,14 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dknn
 from dknn.cli import main
 from dknn.features import fnv1a64
 from dknn.stores import load_store
@@ -156,6 +162,62 @@ class TestPredict:
         root, data, out = workspace
         rc = main(["predict", "--checkpoint", str(out / "checkpoint.dknm")])
         assert rc == 2
+
+
+def _bad_k(out, tmp_path):
+    return ["--k", "abc"]
+
+
+def _featurizer_dim_mismatch(out, tmp_path):
+    doc = json.loads((out / "featurizer.json").read_text())
+    doc["featurizer"]["dim"] = 4096
+    path = tmp_path / "featurizer.json"
+    path.write_text(json.dumps(doc))
+    return ["--featurizer-file", str(path)]
+
+
+def _store_label_out_of_range(out, tmp_path):
+    blob = (out / "store_text.dkns").read_bytes()
+    n = load_store(out / "store_text.dkns").n
+    path = tmp_path / "store_text.dkns"
+    path.write_bytes(blob[: len(blob) - 4 * n] + struct.pack(f"<{n}I", *[99] * n))
+    return ["--text-store", str(path)]
+
+
+def _nan_weight(out, tmp_path):
+    blob = bytearray((out / "checkpoint.dknm").read_bytes())
+    blob[18:22] = struct.pack("<f", float("nan"))  # first entry of w1
+    path = tmp_path / "checkpoint.dknm"
+    path.write_bytes(bytes(blob))
+    return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, code",
+    [
+        (_bad_k, 2),
+        (_featurizer_dim_mismatch, 3),
+        (_store_label_out_of_range, 4),
+        (_nan_weight, 4),
+    ],
+    ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight"],
+)
+def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
+    root, data, out = workspace
+    argv = [
+        "predict", "--checkpoint", str(out / "checkpoint.dknm"),
+        "--featurizer-file", str(out / "featurizer.json"),
+        "--text-store", str(out / "store_text.dkns"),
+        "--pro-store", str(out / "store_pro.dkns"),
+        "--text", "g0w1",
+    ] + corrupt(out, tmp_path)  # later flags win
+    env = dict(os.environ, PYTHONPATH=str(Path(dknn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dknn.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestExportStore:

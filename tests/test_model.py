@@ -10,20 +10,22 @@ from dknn.model import (
     batch_loss_and_gradients,
     checkpoint_bytes,
     classify,
-    contrastive_grad_m,
-    contrastive_loss,
     encode,
-    label_attention,
-    label_similarity,
     load_checkpoint,
     model_fingerprint,
     params_from_bytes,
     save_checkpoint,
-    scaled_label_matrix,
-    soft_target,
     total_loss,
 )
 from dknn.rng import Rng
+from oracles import (
+    contrastive_grad_m,
+    contrastive_loss,
+    label_attention,
+    label_similarity,
+    scaled_label_matrix,
+    soft_target,
+)
 
 
 def random_params(rng: Rng, f: int, d: int, c: int, scale: float = 0.5) -> ModelParams:
@@ -270,17 +272,6 @@ class TestTotalLoss:
         assert batch.ce == pytest.approx(np.mean([s.ce for s in singles]), abs=1e-12)
         assert batch.kl == pytest.approx(np.mean([s.kl for s in singles]), abs=1e-12)
         assert batch.cl == pytest.approx(np.mean([s.cl for s in singles]), abs=1e-12)
-
-    def test_loss_weights_scale_components(self):
-        rng = Rng(13)
-        params = random_params(rng, 6, 4, 3)
-        x = rng.normals(6)
-        y = 1
-        base = total_loss(x, y, params, LLConfig())
-        weighted = total_loss(x, y, params, LLConfig(w_ce=2.0, w_kl=0.5, w_cl=0.0))
-        assert weighted.ce == pytest.approx(2.0 * base.ce, rel=1e-12)
-        assert weighted.kl == pytest.approx(0.5 * base.kl, rel=1e-12)
-        assert weighted.cl == 0.0
 
 
 class TestCheckpoint:

@@ -12,6 +12,7 @@ from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.model import ModelParams, classify, encode, model_fingerprint
 from dknn.rng import Rng
+from oracles import kl_divergence
 from dknn.stores import (
     InferenceConfig,
     Neighbor,
@@ -157,25 +158,12 @@ class TestQuery:
             RepresentationStore(keys, np.zeros(2, np.uint32), StoreMetric.KL, 2, 0)
 
     def test_kl_distance_uses_key_first_argument_order(self):
-        from dknn.mathcore import kl_divergence
-
         store = random_store(Rng(6), 4, 3, 2, StoreMetric.KL)
         q = np.array([0.7, 0.2, 0.1])
         dist = store.distances(q)
         for i in range(4):
             expected = kl_divergence(store.keys[i].astype(np.float64), q)
             assert dist[i] == pytest.approx(expected, abs=1e-12)
-
-    def test_flip_kl_switch_reverses_argument_order(self):
-        from dknn.mathcore import kl_divergence
-
-        store = random_store(Rng(7), 4, 3, 2, StoreMetric.KL)
-        q = np.array([0.7, 0.2, 0.1])
-        flipped = store.distances(q, flip_kl=True)
-        for i in range(4):
-            expected = kl_divergence(q, store.keys[i].astype(np.float64))
-            assert flipped[i] == pytest.approx(expected, abs=1e-12)
-        assert not np.allclose(flipped, store.distances(q))
 
 
 class TestNeighborDistribution:

@@ -7,7 +7,7 @@ from dknn.exceptions import NonFiniteError, ValidationError
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.mathcore import softmax_rows
-from dknn.model import Gradients, LLConfig, ModelParams
+from dknn.model import LLConfig, ModelParams
 from dknn.rng import Rng
 from dknn.trainer import (
     AdamState,
@@ -56,7 +56,7 @@ class TestAdam:
     def test_zero_gradients_no_change(self):
         params = self._params()
         before = {k: t.copy() for k, t in params.tensors().items()}
-        grads = Gradients(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
+        grads = ModelParams(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
         adam_step(params, grads, AdamState.for_params(params), TrainConfig())
         for k, t in params.tensors().items():
             assert np.array_equal(t, before[k])
@@ -64,7 +64,7 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         params = self._params()
         before = params.w1.copy()
-        grads = Gradients(
+        grads = ModelParams(
             w1=np.full_like(params.w1, 0.37),
             b1=np.zeros_like(params.b1),
             w2=np.zeros_like(params.w2),
@@ -80,7 +80,7 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts_with_diagnostics(self):
         params = self._params()
-        grads = Gradients(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
+        grads = ModelParams(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
         grads.w2[0, 0] = np.nan
         state = AdamState.for_params(params)
         state.step = 41
