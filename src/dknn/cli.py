@@ -43,7 +43,13 @@ from .harness import (
     split,
     sweep,
 )
-from .model import LLConfig, ModelParams, load_checkpoint, save_checkpoint
+from .model import (
+    LLConfig,
+    ModelParams,
+    load_checkpoint,
+    model_fingerprint,
+    save_checkpoint,
+)
 from .stores import InferenceConfig, build_stores, load_store, predict, save_store
 from .trainer import TrainConfig, save_history, train
 
@@ -419,8 +425,13 @@ def _cmd_predict(cfg: dict) -> int:
     else:
         raise ValidationError("predict needs --text or --file")
 
+    # one hash of the checkpoint serves every text's store check
+    fingerprint = None
+    if text_store is not None or pro_store is not None:
+        fingerprint = model_fingerprint(params)
     for text in texts:
-        breakdown = predict(text, params, featurizer, text_store, pro_store, icfg)
+        breakdown = predict(text, params, featurizer, text_store, pro_store, icfg,
+                            fingerprint=fingerprint)
         print(_breakdown_json(text, breakdown, label_names))
     return 0
 

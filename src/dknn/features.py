@@ -33,14 +33,34 @@ def fnv1a64(data: bytes | str) -> int:
     return h
 
 
+def _token(raw: str, lowercase: bool) -> str:
+    """One whitespace-delimited piece as a token; '' when it is dropped."""
+    tok = raw.strip(string.punctuation)
+    return tok.lower() if lowercase else tok
+
+
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    tokens = []
-    for raw in text.split():
-        tok = raw.strip(string.punctuation)
-        if not tok:
-            continue
-        tokens.append(tok.lower() if lowercase else tok)
-    return tokens
+    return [tok for tok in (_token(raw, lowercase) for raw in text.split()) if tok]
+
+
+def densify(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dim: int,
+    idx: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dense float64 block of the CSR rows ``idx`` (default: all), in that
+    order: ``densify(rows, dim, idx)`` equals ``densify(rows, dim)[idx]``."""
+    row_ptr, cols, vals = rows
+    if idx is None:
+        idx = np.arange(len(row_ptr) - 1)
+    starts = row_ptr[idx]
+    lengths = row_ptr[np.asarray(idx) + 1] - starts
+    # storage position of every entry of the selected rows, row by row
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(len(pos))
+    out = np.zeros((len(starts), dim), dtype=np.float64)
+    out[np.repeat(np.arange(len(starts)), lengths), cols[pos]] = vals[pos]
+    return out
 
 
 @dataclass
@@ -70,32 +90,67 @@ class Featurizer:
             return self.config.dim
         return len(self.vocabulary)
 
+    def transform_rows(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature rows of ``texts`` as CSR ``(row_ptr, cols, vals)``.
+
+        Row i keeps its nonzero columns ``cols[row_ptr[i]:row_ptr[i + 1]]`` in
+        ascending order, with their values. Each distinct whitespace piece is
+        tokenized and mapped to a column once per call. Norms are taken over a
+        dense scratch row, so every densified row is bit-identical to the
+        count-then-normalize vector of the module docstring.
+        """
+        lowercase = self.config.lowercase
+        dim = self.dim
+        if self.config.mode == "hashing":
+            def column(tok: str) -> int:
+                return fnv1a64(tok) % dim
+        else:
+            def column(tok: str) -> int:
+                return self.vocabulary.get(tok, -1)
+        columns: dict[str, int] = {}  # whitespace piece -> column, -1 if dropped
+        cols_list: list[int] = []
+        counts_list: list[int] = []
+        row_ptr = [0]
+        for text in texts:
+            counts: dict[int, int] = {}
+            for raw in text.split():
+                col = columns.get(raw)
+                if col is None:
+                    tok = _token(raw, lowercase)
+                    col = columns[raw] = column(tok) if tok else -1
+                if col >= 0:
+                    counts[col] = counts.get(col, 0) + 1
+            for col in sorted(counts):
+                cols_list.append(col)
+                counts_list.append(counts[col])
+            row_ptr.append(len(cols_list))
+        cols = np.array(cols_list, dtype=np.int64)
+        vals = np.array(counts_list, dtype=np.float64)
+        if self.config.mode == "tfidf":
+            vals *= self.idf[cols]
+
+        scratch = np.zeros(dim, dtype=np.float64)
+        for lo, hi in zip(row_ptr[:-1], row_ptr[1:]):
+            if lo == hi:
+                continue
+            c, v = cols[lo:hi], vals[lo:hi]
+            scratch[c] = v
+            norm = np.sqrt(np.dot(scratch, scratch))
+            scratch[c] = 0.0
+            if norm > 0.0:
+                v /= norm
+        return np.array(row_ptr, dtype=np.int64), cols, vals
+
     def transform(self, text: str) -> np.ndarray:
         """Feature vector for one text; bit-identical across calls."""
-        tokens = tokenize(text, self.config.lowercase)
+        _, cols, vals = self.transform_rows([text])
         vec = np.zeros(self.dim, dtype=np.float64)
-        if self.config.mode == "hashing":
-            dim = self.config.dim
-            for tok in tokens:
-                vec[fnv1a64(tok) % dim] += 1.0
-        else:
-            vocab = self.vocabulary
-            for tok in tokens:
-                idx = vocab.get(tok)
-                if idx is not None:
-                    vec[idx] += 1.0
-            vec *= self.idf
-        norm = np.sqrt(np.dot(vec, vec))
-        if norm > 0.0:
-            vec /= norm
+        vec[cols] = vals
         return vec
 
     def transform_many(self, texts: list[str]) -> np.ndarray:
         """Stack of transform() rows, shape (len(texts), dim)."""
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for i, text in enumerate(texts):
-            out[i] = self.transform(text)
-        return out
+        return densify(self.transform_rows(texts), self.dim)
 
     def to_dict(self) -> dict:
         d = {

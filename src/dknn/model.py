@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CorruptArtifactError
+from .exceptions import CorruptArtifactError, ValidationError
 from .mathcore import CE_EPS, KL_EPS, softmax, softmax_rows
 
 CHECKPOINT_MAGIC = b"DKNM"
@@ -44,7 +44,7 @@ class LLConfig:
 
     def validate(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+            raise ValidationError(f"rho must be in [0, 1], got {self.rho}")
 
 
 @dataclass
@@ -99,6 +99,8 @@ class LossBreakdown:
     kl: float
     cl: float
     total: float
+    # share of off-diagonal label pairs with a positive hinge (0.0 without cl)
+    active_hinge_fraction: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,7 @@ def batch_loss_and_gradients(
     cl = 0.0
     active = None
     kappa = 0.0
+    active_fraction = 0.0
     if cl_on:
         kappa = 1.0 / (c * (c - 1))
         diag = m_all[:, np.arange(c), np.arange(c)]
@@ -208,8 +211,11 @@ def batch_loss_and_gradients(
         active = (hinge > 0.0) & off
         cl_vec = np.where(active, hinge, 0.0).sum(axis=(1, 2)) * kappa
         cl = float(cl_vec.mean())
+        active_fraction = float(active.sum()) * kappa / batch
 
-    breakdown = LossBreakdown(ce=ce, kl=kl, cl=cl, total=ce + kl + cl)
+    breakdown = LossBreakdown(
+        ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
+    )
     if not with_grads:
         return breakdown, None
 
@@ -248,8 +254,13 @@ def batch_loss_and_gradients(
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)
+    # Only columns present in the batch get a w1 gradient; the rest stay
+    # exactly 0. Each row reduces over the batch, so its bits equal x.T @ dz1.
+    cols = np.flatnonzero(x.any(axis=0))
+    d_w1 = np.zeros_like(params.w1)
+    d_w1[cols] = x[:, cols].T @ dz1
     grads = ModelParams(
-        w1=x.T @ dz1,
+        w1=d_w1,
         b1=dz1.sum(axis=0),
         w2=h.T @ dz2,
         b2=dz2.sum(axis=0),

@@ -11,12 +11,13 @@ filled by one normals() call; biases start at zero. The shuffle for epoch e
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import NonFiniteError, ValidationError
-from .features import Featurizer
+from .features import Featurizer, densify
 from .model import LLConfig, ModelParams, batch_loss_and_gradients, forward_batch
 from .rng import Rng
 
@@ -38,8 +39,10 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.learning_rate <= 0.0:
-            raise ValidationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.embed_dim < 1:
             raise ValidationError("embed_dim must be >= 1")
         self.ll.validate()
@@ -53,6 +56,8 @@ class EpochRecord:
     cl: float
     total: float
     dev_accuracy: float | None
+    grad_norm: dict[str, float]  # per tensor: mean over the epoch's steps of ||g||
+    active_hinge_fraction: float  # per-example mean; 0.0 without the cl loss
 
     def to_json(self) -> str:
         return json.dumps(
@@ -63,6 +68,8 @@ class EpochRecord:
                 "cl": self.cl,
                 "total": self.total,
                 "dev_accuracy": self.dev_accuracy,
+                "grad_norm": self.grad_norm,
+                "active_hinge_fraction": self.active_hinge_fraction,
             }
         )
 
@@ -79,22 +86,34 @@ def save_history(history: TrainHistory, path) -> None:
 
 @dataclass
 class AdamState:
+    """Adam moments per tensor. ``live`` marks, per 2-D tensor, the rows that
+    have ever had a nonzero gradient; a tensor without an entry is all live."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    live: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
+        tensors = params.tensors()
         return cls(
-            m={k: np.zeros_like(t) for k, t in params.tensors().items()},
-            v={k: np.zeros_like(t) for k, t in params.tensors().items()},
+            m={k: np.zeros_like(t) for k, t in tensors.items()},
+            v={k: np.zeros_like(t) for k, t in tensors.items()},
+            live={k: np.zeros(len(t), dtype=bool) for k, t in tensors.items() if t.ndim == 2},
         )
 
 
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ) -> tuple[ModelParams, AdamState]:
-    """Standard bias-corrected Adam update, applied in place to params/state."""
+    """Standard bias-corrected Adam update, applied in place to params/state.
+
+    Rows that have never had a nonzero gradient are skipped. That is exact:
+    their m and v are 0 and their gradient is +-0, so the dense update would
+    subtract lr * 0 / (0 + eps) = 0. A row updates every step once it has
+    gone live, so the trajectory is that of dense Adam, bit for bit.
+    """
     gtensors = grads.tensors()
     for name, grad in gtensors.items():
         if not np.all(np.isfinite(grad)):
@@ -110,12 +129,25 @@ def adam_step(
         g = gtensors[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+        live = state.live.get(name)
+        if live is not None and not live.all():
+            live |= g.any(axis=1)
+            rows = np.flatnonzero(live)
+            tensor_r, m_r, v_r = tensor[rows], m[rows], v[rows]
+            _adam_update(tensor_r, g[rows], m_r, v_r, bc1, bc2, config)
+            tensor[rows], m[rows], v[rows] = tensor_r, m_r, v_r
+        else:
+            _adam_update(tensor, g, m, v, bc1, bc2, config)
     return params, state
+
+
+def _adam_update(tensor, g, m, v, bc1: float, bc2: float, config: TrainConfig) -> None:
+    b1, b2 = config.beta1, config.beta2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
 
 
 def init_params(
@@ -162,7 +194,8 @@ def train(
     if n_classes < 1:
         raise ValidationError("label vocabulary is empty")
 
-    x = featurizer.transform_many(train_set.texts)
+    # CSR rows; each mini-batch is densified on its own (see features.densify)
+    rows = featurizer.transform_rows(train_set.texts)
     y = np.asarray(train_set.labels, dtype=np.int64)
     if np.any(y >= n_classes):
         raise ValidationError("label index outside the dataset vocabulary")
@@ -179,19 +212,25 @@ def train(
 
     for epoch in range(config.epochs):
         order = Rng(config.seed ^ epoch).permutation(n)
-        sums = np.zeros(3)  # ce, kl, cl accumulated per example
+        sums = np.zeros(4)  # ce, kl, cl, active hinge fraction, per example
+        norm_sums = np.zeros(len(state.m))  # per-step gradient norm per tensor
+        steps = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             breakdown, grads = batch_loss_and_gradients(
-                x[idx], y[idx], params, config.ll
+                densify(rows, featurizer.dim, idx), y[idx], params, config.ll
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch + 1}, batch start {start}"
                 )
             adam_step(params, grads, state, config)
-            sums += np.array([breakdown.ce, breakdown.kl, breakdown.cl]) * len(idx)
-        ce, kl, cl = (sums / n).tolist()
+            sums += np.array(
+                [breakdown.ce, breakdown.kl, breakdown.cl, breakdown.active_hinge_fraction]
+            ) * len(idx)
+            norm_sums += [np.linalg.norm(g) for g in grads.tensors().values()]
+            steps += 1
+        ce, kl, cl, active = (sums / n).tolist()
         dev_acc = None
         if x_dev is not None:
             dev_acc = _accuracy(params, x_dev, y_dev)
@@ -199,6 +238,8 @@ def train(
             EpochRecord(
                 epoch=epoch + 1, ce=ce, kl=kl, cl=cl, total=ce + kl + cl,
                 dev_accuracy=dev_acc,
+                grad_norm=dict(zip(state.m, (norm_sums / steps).tolist())),
+                active_hinge_fraction=active,
             )
         )
     return params, history

@@ -12,8 +12,50 @@ from typing import Callable
 
 import numpy as np
 
+from dknn.features import Featurizer, fnv1a64, tokenize
 from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax
 from dknn.model import _mirror
+
+
+# ---------------------------------------------------------------------------
+# features and optimizer, restated densely
+
+
+def dense_transform(featurizer: Featurizer, text: str) -> np.ndarray:
+    """Feature vector for one text, built token by token in a dense row:
+    count, scale by idf (tf-idf), then divide by the L2 norm when nonzero."""
+    tokens = tokenize(text, featurizer.config.lowercase)
+    vec = np.zeros(featurizer.dim, dtype=np.float64)
+    if featurizer.config.mode == "hashing":
+        dim = featurizer.config.dim
+        for tok in tokens:
+            vec[fnv1a64(tok) % dim] += 1.0
+    else:
+        vocab = featurizer.vocabulary
+        for tok in tokens:
+            idx = vocab.get(tok)
+            if idx is not None:
+                vec[idx] += 1.0
+        vec *= featurizer.idf
+    norm = np.sqrt(np.dot(vec, vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def dense_adam_step(params: dict, grads: dict, m: dict, v: dict, step: int,
+                    lr: float, b1: float, b2: float, eps: float) -> None:
+    """Bias-corrected Adam over every entry of every tensor, in place; step
+    is the 1-based index of this update."""
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for name, tensor in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        tensor -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------

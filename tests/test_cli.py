@@ -211,6 +211,28 @@ def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrup
         "--pro-store", str(out / "store_pro.dkns"),
         "--text", "g0w1",
     ] + corrupt(out, tmp_path)  # later flags win
+    _run_expecting_one_error_line(argv, code)
+
+
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--rho", "2"], "rho"),
+        (["--learning-rate", "nan"], "learning_rate"),
+    ],
+    ids=["rho-out-of-range", "learning-rate-nan"],
+)
+def test_train_bad_config_exits_with_one_error_line(workspace, tmp_path, flags, option):
+    root, data, out = workspace
+    argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+            "--epochs", "1", "--feature-dim", "64", "--embed-dim", "4"] + flags
+    line = _run_expecting_one_error_line(argv, 2)
+    assert option in line
+
+
+def _run_expecting_one_error_line(argv: list[str], code: int) -> str:
+    """Run ``dknn`` in a subprocess; it must exit ``code`` with exactly one
+    ``error:`` line on stderr and no traceback. Returns that line."""
     env = dict(os.environ, PYTHONPATH=str(Path(dknn.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "dknn.cli"] + argv,
                           capture_output=True, text=True, env=env)
@@ -218,6 +240,7 @@ def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrup
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 class TestExportStore:

@@ -7,10 +7,13 @@ from dknn.exceptions import ValidationError
 from dknn.features import (
     Featurizer,
     FeaturizerConfig,
+    densify,
     fit_featurizer,
     fnv1a64,
     tokenize,
 )
+from dknn.rng import Rng
+from oracles import dense_transform
 
 
 class TestFnv1a64:
@@ -123,3 +126,74 @@ class TestSerialization:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError):
             fit_featurizer([], FeaturizerConfig(mode="w2v"))
+
+
+OOV_CORPUS = ["alpha beta gamma", "beta gamma delta", "Gamma, delta; epsilon!"]
+_rng = Rng(1)
+# long rows over many idf values: a norm summed over the nonzeros alone
+# would differ in the last bit from the dense one on about a quarter of them
+LONG_TEXTS = [
+    " ".join(f"w{_rng.bounded(400)}" for _ in range(_rng.bounded(60) + 20))
+    for _ in range(60)
+]
+EDGE_TEXTS = [
+    "the cat sat on the mat",
+    "",
+    "   ",
+    "--- ... !!!",
+    "Hello, HELLO hello! world",
+    "alpha alpha beta zzz-unknown qqq",
+    "Gamma delta, (epsilon) epsilon epsilon",
+    "héllo wörld héllo",
+    " ".join(f"tok{i}" for i in range(300)),
+] + LONG_TEXTS
+
+
+@pytest.mark.parametrize(
+    "featurizer",
+    [
+        fit_featurizer([], FeaturizerConfig(dim=4096)),
+        fit_featurizer([], FeaturizerConfig(dim=64)),
+        fit_featurizer([], FeaturizerConfig(dim=64, lowercase=False)),
+        fit_featurizer(OOV_CORPUS, FeaturizerConfig(mode="tfidf")),
+        fit_featurizer(OOV_CORPUS, FeaturizerConfig(mode="tfidf", lowercase=False)),
+        fit_featurizer(OOV_CORPUS + LONG_TEXTS, FeaturizerConfig(mode="tfidf")),
+    ],
+    ids=["hash-4096", "hash-64", "hash-64-cased", "tfidf-oov", "tfidf-oov-cased",
+         "tfidf-long"],
+)
+class TestTransformRows:
+    def test_densified_rows_equal_dense_oracle_bitwise(self, featurizer):
+        ref = np.stack([dense_transform(featurizer, t) for t in EDGE_TEXTS])
+        for got in (
+            densify(featurizer.transform_rows(EDGE_TEXTS), featurizer.dim),
+            featurizer.transform_many(EDGE_TEXTS),
+            np.stack([featurizer.transform(t) for t in EDGE_TEXTS]),
+        ):
+            assert got.shape == ref.shape and got.dtype == np.float64
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_csr_layout(self, featurizer):
+        row_ptr, cols, vals = featurizer.transform_rows(EDGE_TEXTS)
+        assert row_ptr.shape == (len(EDGE_TEXTS) + 1,) and row_ptr[0] == 0
+        assert row_ptr[-1] == len(cols) == len(vals)
+        assert np.all(np.diff(row_ptr) >= 0)
+        for lo, hi in zip(row_ptr[:-1], row_ptr[1:]):
+            assert np.all(np.diff(cols[lo:hi]) > 0)  # ascending, no duplicates
+        assert np.all((cols >= 0) & (cols < featurizer.dim))
+        # the empty and punctuation-only texts have no entries
+        assert row_ptr[2] == row_ptr[1] == row_ptr[3] == row_ptr[4]
+
+    def test_densify_selected_rows_in_order(self, featurizer):
+        rows = featurizer.transform_rows(EDGE_TEXTS)
+        idx = np.array([5, 0, 3, 5, 8, 1])
+        full = densify(rows, featurizer.dim)
+        assert np.array_equal(densify(rows, featurizer.dim, idx), full[idx])
+
+
+def test_transform_rows_of_no_texts():
+    f = fit_featurizer([], FeaturizerConfig(dim=16))
+    row_ptr, cols, vals = f.transform_rows([])
+    assert row_ptr.tolist() == [0] and len(cols) == len(vals) == 0
+    assert f.transform_many([]).shape == (0, 16)

@@ -124,3 +124,25 @@ def test_gradients_finite_on_extreme_inputs():
     g = gradients(x, y, params, LLConfig())
     for tensor in g.tensors().values():
         assert np.all(np.isfinite(tensor))
+
+
+def test_w1_gradient_rows_of_absent_columns_are_zero():
+    rng = Rng(21)
+    params, _, _ = random_instance(31)
+    x = rng.normals(6 * 20).reshape(6, 20) * 0.5
+    absent = [0, 3, 7, 19]
+    x[:, absent] = 0.0
+    y = np.array([rng.bounded(5) for _ in range(6)])
+    _, grads = batch_loss_and_gradients(x, y, params, LLConfig())
+    assert np.all(grads.w1[absent] == 0.0)
+    assert not np.any(np.signbit(grads.w1[absent]))
+    present = np.setdiff1d(np.arange(20), absent)
+    assert np.all(np.any(grads.w1[present] != 0.0, axis=1))
+
+
+def test_single_example_w1_gradient_is_outer_product():
+    params, x, y = random_instance(17)
+    x = x.copy()
+    x[[2, 5]] = 0.0
+    _, grads = batch_loss_and_gradients(x[None, :], np.array([y]), params, LLConfig())
+    assert np.array_equal(grads.w1, np.outer(x, grads.b1))

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from dknn import trainer as trainer_mod
 from dknn.exceptions import NonFiniteError, ValidationError
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.mathcore import softmax_rows
-from dknn.model import LLConfig, ModelParams
+from dknn.model import LLConfig, ModelParams, batch_loss_and_gradients
 from dknn.rng import Rng
 from dknn.trainer import (
     AdamState,
@@ -18,6 +19,7 @@ from dknn.trainer import (
     save_history,
     train,
 )
+from oracles import dense_adam_step
 
 CLASS_TOKENS = [
     ["apple", "pear", "plum", "grape", "melon"],
@@ -86,6 +88,41 @@ class TestAdam:
         state.step = 41
         with pytest.raises(NonFiniteError, match="w2.*step 42"):
             adam_step(params, grads, state, TrainConfig())
+
+    def test_live_rows_match_dense_adam_bitwise(self):
+        """Rows go live at different steps (w1 row 1 first at step 3); a -0.0
+        entry sits both in a dead row and in a live one. Params and both
+        moments must equal dense Adam over every entry, bit for bit."""
+        params = init_params(6, 3, 4, Rng(3))
+        params.w1[5, 0] = -0.0
+        ref = {k: t.copy() for k, t in params.tensors().items()}
+        m_ref = {k: np.zeros_like(t) for k, t in ref.items()}
+        v_ref = {k: np.zeros_like(t) for k, t in ref.items()}
+        state = AdamState.for_params(params)
+        cfg = TrainConfig(learning_rate=1e-2)
+        live_rows = [[0, 2], [2], [1, 2], [0], [], [3, 1]]
+        rng = Rng(8)
+        for step, rows in enumerate(live_rows, 1):
+            grads = ModelParams(**{
+                k: rng.normals(t.size).reshape(t.shape) for k, t in ref.items()
+            })
+            mask = np.zeros(len(grads.w1), dtype=bool)
+            mask[rows] = True
+            grads.w1[~mask] = 0.0
+            grads.w1[4, 1] = -0.0  # row 4 never goes live
+            if rows:
+                grads.w1[rows[0], 2] = -0.0
+            grads.label_emb[1] = 0.0  # a row of another 2-D tensor stays dead
+            adam_step(params, grads, state, cfg)
+            dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
+                            cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            assert state.live["w1"].tolist() == [
+                any(r in seen for seen in live_rows[:step]) for r in range(6)
+            ]
+            for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
+                for k in want:
+                    assert np.array_equal(got[k], want[k]), (step, k)
+                    assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
 
 
 class TestInit:
@@ -166,6 +203,64 @@ class TestTrain:
             if all(ce[t + 1] <= ce[t] + 1e-12 for t in range(3, len(ce) - 1)):
                 good += 1
         assert good >= 4
+
+    def test_matches_dense_batches_and_dense_adam_bitwise(self, monkeypatch):
+        """With both LL losses on, train equals a loop over dense x[idx]
+        batches with dense Adam, and densifies one mini-batch at a time."""
+        ds = separable_dataset(n_per_class=20)
+        feat = fit_featurizer([], FeaturizerConfig(dim=512))
+        cfg = TrainConfig(batch_size=16, epochs=3, embed_dim=8, seed=5,
+                          learning_rate=1e-2, ll=LLConfig())
+        block_rows = []
+        densify = trainer_mod.densify
+
+        def recording_densify(rows, dim, idx=None):
+            out = densify(rows, dim, idx)
+            block_rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(trainer_mod, "densify", recording_densify)
+        params, history = train(ds, None, feat, cfg)
+        assert max(block_rows) <= cfg.batch_size
+        assert len(block_rows) == cfg.epochs * -(-ds.n // cfg.batch_size)
+
+        x_all = feat.transform_many(ds.texts)
+        y_all = np.asarray(ds.labels)
+        ref = init_params(feat.dim, cfg.embed_dim, 2, Rng(cfg.seed)).tensors()
+        m = {k: np.zeros_like(t) for k, t in ref.items()}
+        v = {k: np.zeros_like(t) for k, t in ref.items()}
+        step = 0
+        for epoch in range(cfg.epochs):
+            order = Rng(cfg.seed ^ epoch).permutation(ds.n)
+            for start in range(0, ds.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = batch_loss_and_gradients(
+                    x_all[idx], y_all[idx], ModelParams(**ref), cfg.ll
+                )
+                step += 1
+                dense_adam_step(ref, grads.tensors(), m, v, step, cfg.learning_rate,
+                                cfg.beta1, cfg.beta2, cfg.adam_eps)
+        for k, t in params.tensors().items():
+            assert np.array_equal(t, ref[k]), k
+        assert all(0.0 < r.active_hinge_fraction <= 1.0 for r in history)
+        assert all(r.grad_norm["w1"] > 0.0 for r in history)
+
+    def test_history_observability_keys(self):
+        ds = separable_dataset(n_per_class=10)
+        feat = small_featurizer()
+        cfg = ce_only_config()
+        cfg.epochs = 2
+        _, history = train(ds, None, feat, cfg)
+        for rec in history:
+            assert rec.active_hinge_fraction == 0.0
+            assert list(rec.grad_norm) == ["w1", "b1", "w2", "b2", "label_emb"]
+            assert rec.grad_norm["label_emb"] == 0.0  # no LL loss touches it
+            assert all(np.isfinite(list(rec.grad_norm.values())))
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr).validate()
 
     def test_flags_off_matches_independent_ce_loop_bitwise(self):
         """Training with both LL losses off must equal a from-scratch CE-only
@@ -277,4 +372,7 @@ def test_history_jsonl_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
-    assert set(rec) == {"epoch", "ce", "kl", "cl", "total", "dev_accuracy"}
+    # the two observability keys come after the original six
+    assert list(rec) == ["epoch", "ce", "kl", "cl", "total", "dev_accuracy",
+                         "grad_norm", "active_hinge_fraction"]
+    assert list(rec["grad_norm"]) == ["w1", "b1", "w2", "b2", "label_emb"]
