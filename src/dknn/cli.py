@@ -189,6 +189,8 @@ _OPTIONS: dict[str, list[Option]] = {
         Option("pro-store", None, "str"),
         Option("text", None, "str"),
         Option("file", None, "str", "one input text per line"),
+        Option("explain", False, "flag",
+               "add each store's neighbors as [index, distance, label]"),
     ],
     "experiment": _COMMON + _TRAINING + _INFERENCE + _EXPERIMENT,
     "ablate": _COMMON + _TRAINING + _INFERENCE + _EXPERIMENT,
@@ -381,7 +383,7 @@ def _cmd_build_store(cfg: dict) -> int:
     return 0
 
 
-def _breakdown_json(text: str, breakdown, label_names: list[str]) -> str:
+def _breakdown_json(text: str, breakdown, label_names: list[str], explain: bool) -> str:
     def listify(arr):
         return None if arr is None else [float(v) for v in arr]
 
@@ -396,6 +398,13 @@ def _breakdown_json(text: str, breakdown, label_names: list[str]) -> str:
     if breakdown.p_knn is not None:
         doc["p_knn"] = listify(breakdown.p_knn)
     doc["p_final"] = listify(breakdown.p_final)
+    if explain:
+        doc["neighbors"] = {
+            name: [[nb.index, nb.distance, nb.label] for nb in nbs]
+            for name, nbs in (("text", breakdown.text_neighbors),
+                              ("pro", breakdown.pro_neighbors))
+            if nbs is not None
+        }
     return json.dumps(doc)
 
 
@@ -432,7 +441,7 @@ def _cmd_predict(cfg: dict) -> int:
     for text in texts:
         breakdown = predict(text, params, featurizer, text_store, pro_store, icfg,
                             fingerprint=fingerprint)
-        print(_breakdown_json(text, breakdown, label_names))
+        print(_breakdown_json(text, breakdown, label_names, bool(cfg["explain"])))
     return 0
 
 

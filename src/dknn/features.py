@@ -175,6 +175,14 @@ class Featurizer:
             tokens = d["vocabulary"]
             vocab = {tok: i for i, tok in enumerate(tokens)}
             idf = np.asarray(d["idf"], dtype=np.float64)
+            if len(vocab) != len(tokens):
+                raise ValidationError("tfidf vocabulary has duplicate tokens")
+            if idf.shape != (len(tokens),):
+                raise ValidationError(
+                    f"tfidf idf has shape {idf.shape} for {len(tokens)} vocabulary tokens"
+                )
+            if not np.all(np.isfinite(idf) & (idf > 0.0)):
+                raise ValidationError("tfidf idf entries must be finite and positive")
             return cls(cfg, vocab, idf)
         return cls(cfg)
 

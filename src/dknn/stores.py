@@ -2,10 +2,12 @@
 
 Two stores are built from the training set by one forward pass: text
 embeddings under L2 distance and predicted distributions under KL
-divergence (stored key first, query second). Inference retrieves top-k
-neighbors from each store with an exact bounded-heap scan, turns them into
-label distributions via softmax over negative distances, sharpens each,
-averages the two, and interpolates with the model's own prediction.
+divergence (stored key first, query second). Inference retrieves the exact
+top-k neighbors from each store: candidates from one matrix-vector product
+over all keys, then an exact rerank of the candidates with the distance
+kernel of ``RepresentationStore.distances``. It turns them into label
+distributions via softmax over negative distances, sharpens each, averages
+the two, and interpolates with the model's own prediction.
 
 Store file format "DKNS" v1 (little-endian, no padding):
 magic 4s | u16 version | u8 metric (0=L2, 1=KL) | u32 dim | u32 N | u32 c |
@@ -14,7 +16,6 @@ u64 model fingerprint | N*dim f32 keys row-major | N u32 labels.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -60,9 +61,9 @@ class InferenceConfig:
 
 @dataclass
 class PredictionBreakdown:
-    """Every distribution on the way to the final call. Disabled kNN modules
-    leave their fields None; with both disabled p_knn is None and
-    p_final == p_model."""
+    """Every distribution on the way to the final call, and the neighbor
+    lists each store returned. Disabled kNN modules leave their fields None;
+    with both disabled p_knn is None and p_final == p_model."""
 
     p_model: np.ndarray
     p_text_sharp: np.ndarray | None
@@ -70,10 +71,22 @@ class PredictionBreakdown:
     p_knn: np.ndarray | None
     p_final: np.ndarray
     label: int
+    text_neighbors: list[Neighbor] | None = None
+    pro_neighbors: list[Neighbor] | None = None
+
+
+def _l2_rows(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of keys to q: the L2 oracle kernel.
+    Each row reduces on its own, so a subset of rows gets the same bits."""
+    diff = keys - q
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 class RepresentationStore:
-    """Immutable key/label memory extracted from the training set."""
+    """Immutable key/label memory extracted from the training set.
+
+    Keys are rounded to float32, the precision of the store file, and held
+    once, widened to float64 for the search kernels."""
 
     def __init__(
         self,
@@ -83,7 +96,7 @@ class RepresentationStore:
         n_classes: int,
         fingerprint: int,
     ) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.float32)
+        keys = np.asarray(keys, dtype=np.float32).astype(np.float64, order="C")
         labels = np.ascontiguousarray(labels, dtype=np.uint32)
         if keys.ndim != 2 or keys.shape[0] != labels.shape[0]:
             raise ValidationError("keys must be (N, dim) with one label per row")
@@ -92,7 +105,7 @@ class RepresentationStore:
                 f"label {int(labels.max())} out of range for {n_classes} classes"
             )
         if StoreMetric(metric) == StoreMetric.KL and keys.shape[0]:
-            sums = keys.astype(np.float64).sum(axis=1)
+            sums = keys.sum(axis=1)
             if np.abs(sums - 1.0).max() > 1e-6:
                 raise ValidationError("KL store keys must be probability rows")
         self.keys = keys
@@ -100,7 +113,7 @@ class RepresentationStore:
         self.metric = StoreMetric(metric)
         self.n_classes = int(n_classes)
         self.fingerprint = int(fingerprint) & ((1 << 64) - 1)
-        self._keys64: np.ndarray | None = None
+        self._l2_cache: tuple[np.ndarray, float] | None = None
         self._kl_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -111,32 +124,39 @@ class RepresentationStore:
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    def keys_f64(self) -> np.ndarray:
-        if self._keys64 is None:
-            self._keys64 = self.keys.astype(np.float64)
-        return self._keys64
+    def _l2_terms(self) -> tuple[np.ndarray, float]:
+        # squared key norms and their maximum, cached
+        if self._l2_cache is None:
+            sq = np.einsum("ij,ij->i", self.keys, self.keys)
+            self._l2_cache = (sq, float(sq.max(initial=0.0)))
+        return self._l2_cache
 
     def _kl_terms(self) -> tuple[np.ndarray, np.ndarray]:
         # smoothed/renormalized keys and sum(k~ ln k~), cached
         if self._kl_cache is None:
-            k = self.keys_f64() + KL_EPS
+            k = self.keys + KL_EPS
             k /= k.sum(axis=1, keepdims=True)
             self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
         return self._kl_cache
 
-    def distances(self, query: np.ndarray) -> np.ndarray:
-        """f64 distance from every stored key to the query: Euclidean for an
-        L2 store, key-first KL(key || query) for a KL store."""
+    def _checked_query(self, query: np.ndarray) -> np.ndarray:
+        """The query as f64, after the dim check and, for a KL store, the
+        distribution check."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValidationError(
                 f"query dim {q.shape} does not match store dim {self.dim}"
             )
-        if self.metric == StoreMetric.L2:
-            diff = self.keys_f64() - q
-            return np.sqrt((diff * diff).sum(axis=1))
-        if not is_distribution(q, tol=1e-6):
+        if self.metric == StoreMetric.KL and not is_distribution(q, tol=1e-6):
             raise ValidationError("KL-metric store requires a distribution query")
+        return q
+
+    def distances(self, query: np.ndarray) -> np.ndarray:
+        """f64 distance from every stored key to the query: Euclidean for an
+        L2 store, key-first KL(key || query) for a KL store."""
+        q = self._checked_query(query)
+        if self.metric == StoreMetric.L2:
+            return _l2_rows(self.keys, q)
         keys_n, self_term = self._kl_terms()
         qn = q + KL_EPS
         qn = qn / qn.sum()
@@ -163,28 +183,87 @@ def build_stores(
 def query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
     """Exact top-k by ascending (distance, store index).
 
-    Linear scan with a bounded max-heap of size k; returns min(k, N) items
-    sorted ascending. Ties on distance resolve to the lower store index.
+    Returns min(k, N) neighbors with the distances of
+    ``store.distances(q)``, bit for bit; ties on distance resolve to the
+    lower store index. A KL store ranks its full distance vector, one GEMV.
+    An L2 store takes candidates from the expanded squared distance, widened
+    by a floating-point error bound, and reranks them with the L2 kernel.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if store.n == 0:
         raise ValidationError("store is empty")
-    dist = store.distances(q)
     limit = min(k, store.n)
-    # max-heap via negation: heap[0] is the current worst of the kept set
-    heap: list[tuple[float, int]] = []
-    for idx in range(store.n):
-        item = (-dist[idx], -idx)
-        if len(heap) < limit:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-    kept = sorted((-d, -i) for d, i in heap)
+    if store.metric == StoreMetric.KL:
+        dist = store.distances(q)
+        idx = _at_most(dist, _kth_smallest(dist, limit))
+        dist = dist[idx]
+    else:
+        qv = store._checked_query(q)
+        sq, sq_max = store._l2_terms()
+        qq = qv @ qv
+        approx = sq - 2.0 * (store.keys @ qv) + qq
+        bound = _l2_bound(_kth_smallest(approx, limit), sq_max + qq, store.dim)
+        idx = _at_most(approx, bound)
+        dist = _l2_rows(store.keys[idx], qv)
+    order = np.lexsort((idx, dist))[:limit]
+    idx = idx[order]
     return [
-        Neighbor(index=int(i), distance=float(d), label=int(store.labels[i]))
-        for d, i in kept
+        Neighbor(index=i, distance=d, label=y)
+        for i, d, y in zip(idx.tolist(), dist[order].tolist(),
+                           store.labels[idx].tolist())
     ]
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    """The k-th smallest value; +inf when k covers every value."""
+    if k >= values.size:
+        return np.inf
+    return float(np.partition(values, k - 1)[k - 1])
+
+
+def _at_most(values: np.ndarray, bound: float) -> np.ndarray:
+    """Indices of the values <= bound, ascending; every index when the bound
+    is not finite (k covers the store, or a NaN or overflow upstream), so
+    the rerank then orders the whole store as the full-sort oracle does."""
+    if not np.isfinite(bound):
+        return np.arange(values.size)
+    return np.flatnonzero(values <= bound)
+
+
+_U = np.finfo(np.float64).eps / 2.0  # unit roundoff of float64
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+def _l2_bound(kth: float, norms: float, dim: int) -> float:
+    """Largest expanded squared distance a true top-k key can have.
+
+    Write D = ||k - q||^2 exactly, s = fl(||k||^2 - 2 k.q + ||q||^2) as the
+    candidate step computes it, o = fl(sum(fl(k - q)^2)) as the oracle does
+    before its sqrt, u the unit roundoff, g_n = n u / (1 - n u), d = dim and
+    S = max ||k||^2 + ||q||^2 >= ||k||^2 + ||q||^2 for every key.
+
+    - Each dot product (two norms and the GEMV, any order, with or without
+      FMA) errs by at most g_d * sum|a_j b_j|, and 2 sum|k_j q_j| <=
+      2 ||k|| ||q|| <= S, so the three terms err by 2 g_d S together. The two additions err by u times a
+      magnitude of at most 2S and 3S. So |s - D| <= g_(2d+6) S.
+    - The oracle's d nonnegative terms carry 3 roundings each and a sum of
+      d of them, so |o - D| <= g_(d+2) D <= g_(2d+4) S, using D <= 2S.
+
+    B = g_(4d+10) S bounds both errors together. The k smallest s are at
+    most kth, so k keys have o <= kth + B, and so the k-th smallest oracle
+    distance r is at most fl(sqrt(kth + B)). A key in the answer has
+    fl(sqrt(o)) <= r, so o <= (kth + B)(1 + u)^2 / (1 - u)^2
+    <= (kth + B)(1 + g_5), and s <= o + B. kth + B >= 0, since every
+    s >= D - B >= -B. The bound below uses g_8 and g_(4d+16) in place of
+    g_5 and g_(4d+10): the spare terms absorb the roundings of S and of
+    the bound's own arithmetic, which are second order in u.
+    """
+    slack = _gamma(4 * dim + 16) * norms
+    return (kth + slack) * (1.0 + _gamma(8)) + slack
 
 
 def neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarray:
@@ -197,10 +276,12 @@ def neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarr
     if not neighbors:
         raise ValidationError("neighbor list is empty")
     dist = np.array([nb.distance for nb in neighbors], dtype=np.float64)
+    labels = np.array([nb.label for nb in neighbors], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValidationError(f"neighbor label out of range for {n_classes} classes")
     weights = np.exp(-(dist - dist.min()))
-    out = np.zeros(n_classes, dtype=np.float64)
-    for nb, w in zip(neighbors, weights):
-        out[nb.label] += w
+    # bincount adds the weights in list order, as a per-neighbor loop would
+    out = np.bincount(labels, weights=weights, minlength=n_classes)
     return out / out.sum()
 
 
@@ -249,16 +330,16 @@ def predict(
     h = encode(x, params)
     p_model = classify(h, params)
 
-    p_text_sharp = None
-    p_pro_sharp = None
+    p_text_sharp = p_pro_sharp = None
+    text_neighbors = pro_neighbors = None
     if cfg.use_text_knn:
         _require_store(text_store, StoreMetric.L2, params, fingerprint, "text")
-        nbs = query(text_store, h, cfg.k)
-        p_text_sharp = sharpen(neighbor_distribution(nbs, params.n_classes))
+        text_neighbors = query(text_store, h, cfg.k)
+        p_text_sharp = sharpen(neighbor_distribution(text_neighbors, params.n_classes))
     if cfg.use_pro_knn:
         _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
-        nbs = query(pro_store, p_model, cfg.k)
-        p_pro_sharp = sharpen(neighbor_distribution(nbs, params.n_classes))
+        pro_neighbors = query(pro_store, p_model, cfg.k)
+        p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, params.n_classes))
 
     if p_text_sharp is not None and p_pro_sharp is not None:
         p_knn = combine_knn(p_text_sharp, p_pro_sharp)
@@ -280,6 +361,8 @@ def predict(
         p_knn=p_knn,
         p_final=p_final,
         label=int(np.argmax(p_final)),
+        text_neighbors=text_neighbors,
+        pro_neighbors=pro_neighbors,
     )
 
 

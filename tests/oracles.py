@@ -2,19 +2,23 @@
 
 The package computes everything through batched code paths (see
 ``dknn.model.batch_loss_and_gradients`` and ``dknn.stores``). These
-functions restate the paper's equations one example at a time, so tests can
-check the batched results against an independent, obviously-correct form.
+functions restate the paper's equations one example at a time, and the kNN
+search as a plain scan, so tests can check the batched results against an
+independent, obviously-correct form.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable
 
 import numpy as np
 
+from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
 from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax
 from dknn.model import _mirror
+from dknn.stores import Neighbor, RepresentationStore
 
 
 # ---------------------------------------------------------------------------
@@ -196,3 +200,45 @@ def finite_diff_gradient(
             raise ValueError(f"non-finite function value while perturbing coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# kNN search and neighbor distributions, one key or neighbor at a time
+
+
+def heap_query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
+    """Exact top-k by ascending (distance, store index).
+
+    Linear scan with a bounded max-heap of size k; returns min(k, N) items
+    sorted ascending. Ties on distance resolve to the lower store index.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if store.n == 0:
+        raise ValidationError("store is empty")
+    dist = store.distances(q)
+    limit = min(k, store.n)
+    # max-heap via negation: heap[0] is the current worst of the kept set
+    heap: list[tuple[float, int]] = []
+    for idx in range(store.n):
+        item = (-dist[idx], -idx)
+        if len(heap) < limit:
+            heapq.heappush(heap, item)
+        elif item > heap[0]:
+            heapq.heapreplace(heap, item)
+    kept = sorted((-d, -i) for d, i in heap)
+    return [
+        Neighbor(index=int(i), distance=float(d), label=int(store.labels[i]))
+        for d, i in kept
+    ]
+
+
+def loop_neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarray:
+    """Softmax over negative neighbor distances, summed per label one
+    neighbor at a time."""
+    dist = np.array([nb.distance for nb in neighbors], dtype=np.float64)
+    weights = np.exp(-(dist - dist.min()))
+    out = np.zeros(n_classes, dtype=np.float64)
+    for nb, w in zip(neighbors, weights):
+        out[nb.label] += w
+    return out / out.sum()

@@ -10,8 +10,9 @@ import pytest
 
 import dknn
 from dknn.cli import main
-from dknn.features import fnv1a64
-from dknn.stores import load_store
+from dknn.features import Featurizer, fnv1a64
+from dknn.model import load_checkpoint
+from dknn.stores import InferenceConfig, load_store, predict
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,47 @@ class TestPredict:
         for line in lines:
             json.loads(line)
 
+    def test_explain_adds_neighbors_and_plain_output_keeps_its_bytes(
+            self, workspace, tmp_path, capsys):
+        root, data, out = workspace
+        texts = ["g0w1 g0w2", "g1w4 g1w5", "l2w1 g1w0"]
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("\n".join(texts) + "\n")
+        argv = ["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                "--file", str(inputs), "--k", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--explain"]) == 0
+        explained = capsys.readouterr().out.splitlines()
+
+        params = load_checkpoint(out / "checkpoint.dknm")
+        doc = json.loads((out / "featurizer.json").read_text())
+        feat = Featurizer.from_dict(doc["featurizer"])
+        s_text = load_store(out / "store_text.dkns")
+        s_pro = load_store(out / "store_pro.dkns")
+        for text, line, explained_line in zip(texts, plain, explained, strict=True):
+            b = predict(text, params, feat, s_text, s_pro, InferenceConfig(k=3))
+            # the line without --explain, as serialized before neighbors existed
+            expected = {"text": text, "label": b.label,
+                        "label_name": doc["label_names"][b.label]}
+            for key in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
+                expected[key] = [float(v) for v in getattr(b, key)]
+            assert line == json.dumps(expected)
+            full = json.loads(explained_line)
+            assert full.pop("neighbors") == {
+                name: [[nb.index, nb.distance, nb.label] for nb in nbs]
+                for name, nbs in (("text", b.text_neighbors), ("pro", b.pro_neighbors))
+            }
+            assert json.dumps(full) == line
+
+    def test_explain_lists_only_enabled_stores(self, workspace, capsys):
+        root, data, out = workspace
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                     "--text", "g0w1", "--k", "2", "--no-pro-knn", "--explain"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["neighbors"]) == ["text"]
+        assert len(doc["neighbors"]["text"]) == 2
+
     def test_stale_store_exit_3(self, workspace, tmp_path, capsys):
         root, data, out = workspace
         other = tmp_path / "other"
@@ -192,6 +234,30 @@ def _nan_weight(out, tmp_path):
     return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"]
 
 
+def _tfidf_featurizer(out, tmp_path, idf):
+    """A tf-idf featurizer.json as wide as the checkpoint, whose vocabulary
+    holds the predicted text's token last, with idf(width) as its idf."""
+    doc = json.loads((out / "featurizer.json").read_text())
+    width = doc["featurizer"]["dim"]
+    vocab = sorted(["g0w1"] + [f"a{i:04d}" for i in range(width - 1)])
+    doc["featurizer"].update(mode="tfidf", vocabulary=vocab, idf=idf(width))
+    path = tmp_path / "featurizer.json"
+    path.write_text(json.dumps(doc))
+    return ["--featurizer-file", str(path)]
+
+
+def _idf_truncated(out, tmp_path):
+    return _tfidf_featurizer(out, tmp_path, lambda width: [1.0] * 5)
+
+
+def _idf_nan(out, tmp_path):
+    return _tfidf_featurizer(out, tmp_path, lambda width: [float("nan")] * width)
+
+
+def _idf_negative(out, tmp_path):
+    return _tfidf_featurizer(out, tmp_path, lambda width: [-1.0] * width)
+
+
 @pytest.mark.parametrize(
     "corrupt, code",
     [
@@ -199,8 +265,12 @@ def _nan_weight(out, tmp_path):
         (_featurizer_dim_mismatch, 3),
         (_store_label_out_of_range, 4),
         (_nan_weight, 4),
+        (_idf_truncated, 4),
+        (_idf_nan, 4),
+        (_idf_negative, 4),
     ],
-    ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight"],
+    ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
+         "idf-truncated", "idf-nan", "idf-negative"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace

@@ -123,6 +123,21 @@ class TestSerialization:
         assert g.vocabulary == f.vocabulary
         assert np.array_equal(f.transform("a b d"), g.transform("a b d"))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(idf=d["idf"][:2]),
+        lambda d: d.update(idf=d["idf"] + [1.0]),
+        lambda d: d.update(idf=[float("nan")] * len(d["idf"])),
+        lambda d: d.update(idf=[float("inf")] + d["idf"][1:]),
+        lambda d: d.update(idf=[0.0] + d["idf"][1:]),
+        lambda d: d.update(idf=[-1.0] + d["idf"][1:]),
+        lambda d: d.update(vocabulary=["a", "a"] + d["vocabulary"][2:]),
+    ], ids=["short", "long", "nan", "inf", "zero", "negative", "duplicate-token"])
+    def test_bad_tfidf_idf_rejected(self, edit):
+        d = fit_featurizer(["a b c", "b c d"], FeaturizerConfig(mode="tfidf")).to_dict()
+        edit(d)
+        with pytest.raises(ValidationError):
+            Featurizer.from_dict(d)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError):
             fit_featurizer([], FeaturizerConfig(mode="w2v"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dknn.exceptions import (
     ArtifactMismatchError,
@@ -12,7 +14,7 @@ from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.model import ModelParams, classify, encode, model_fingerprint
 from dknn.rng import Rng
-from oracles import kl_divergence
+from oracles import heap_query, kl_divergence, loop_neighbor_distribution
 from dknn.stores import (
     InferenceConfig,
     Neighbor,
@@ -166,7 +168,119 @@ class TestQuery:
             assert dist[i] == pytest.approx(expected, abs=1e-12)
 
 
+def _bits(neighbors):
+    """Index, distance bits and label of every neighbor, in order."""
+    return [(nb.index, nb.distance.hex(), nb.label) for nb in neighbors]
+
+
+@st.composite
+def search_cases(draw):
+    """A store, a query and a k. Keys sit on a coarse integer grid, so exact
+    distance ties and duplicate rows are common; L2 grids may sit at a large
+    common offset with a fine step, where the expanded squared distance
+    loses most of its digits."""
+    metric = draw(st.sampled_from([StoreMetric.L2, StoreMetric.KL]))
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 8))
+    top = draw(st.integers(1, 3))
+    grid = st.lists(st.integers(0, top), min_size=dim, max_size=dim)
+    rows = draw(st.lists(grid, min_size=n, max_size=n))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        rows[dst] = rows[src]
+    if draw(st.booleans()):
+        q_row = rows[draw(st.integers(0, n - 1))]
+    else:
+        q_row = draw(grid)
+    keys = np.array(rows, dtype=np.float64)
+    q = np.array(q_row, dtype=np.float64)
+    if metric == StoreMetric.L2:
+        offset = draw(st.sampled_from([0.0, -3.0, 1e4]))
+        step = draw(st.sampled_from([1.0, 0.25, 2.0**-10]))  # 2^-10: f32 ulp at 1e4
+        keys = offset + step * keys
+        q = offset + step * (q + draw(st.sampled_from([0.0, 0.5])))
+    else:
+        keys = (keys + 1.0) / (keys + 1.0).sum(axis=1, keepdims=True)
+        q = (q + 1.0) / (q + 1.0).sum()
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                      dtype=np.uint32)
+    store = RepresentationStore(keys, labels, metric, 4, 0)
+    return store, q, draw(st.integers(1, n + 2))
+
+
+class TestSearchMatchesHeapScan:
+    @given(search_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_indices_and_distance_bits_equal(self, case):
+        store, q, k = case
+        assert _bits(query(store, q, k)) == _bits(heap_query(store, q, k))
+
+    @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
+    def test_all_rows_equal_returns_lowest_indices(self, metric):
+        keys = np.full((200, 3), 1.0 / 3.0)
+        store = RepresentationStore(keys, np.zeros(200, np.uint32), metric, 1, 0)
+        q = np.array([0.5, 0.25, 0.25])
+        for k in (1, 5, 17, 199):
+            got = query(store, q, k)
+            assert [nb.index for nb in got] == list(range(k))
+            assert _bits(got) == _bits(heap_query(store, q, k))
+
+    def test_large_offset_l2_where_expanded_form_picks_wrong_keys(self):
+        """Keys 1e4 from the origin on a grid of one float32 ulp (2^-10):
+        the expanded squared distance errs by about 1e-6, as much as the
+        gaps between neighbors' squared distances, so it picks wrong keys;
+        the search must still be exact."""
+        rng = Rng(21)
+        n, dim, k, step = 300, 8, 10, 2.0**-10
+        grid = np.array([rng.bounded(4) for _ in range(n * dim)], dtype=np.float64)
+        keys = 1e4 + step * grid.reshape(n, dim)
+        store = RepresentationStore(keys, np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
+        kf = store.keys
+        wrong = 0
+        for _ in range(20):
+            q = 1e4 + step * (rng.uniforms(dim) * 3.0)
+            expanded = (kf * kf).sum(axis=1) - 2.0 * (kf @ q) + q @ q
+            by_expanded = np.lexsort((np.arange(n), expanded))[:k]
+            exact = heap_query(store, q, k)
+            wrong += set(by_expanded.tolist()) != {nb.index for nb in exact}
+            assert _bits(query(store, q, k)) == _bits(exact)
+        assert wrong > 0
+
+    @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
+    def test_column_major_keys_give_the_same_bits(self, metric):
+        rows = random_store(Rng(24), 300, 40, 3, metric)
+        store = RepresentationStore(np.asfortranarray(rows.keys), rows.labels,
+                                    metric, 3, 0)
+        q = rows.keys[5] if metric == StoreMetric.KL else Rng(25).normals(40)
+        assert _bits(query(store, q, 9)) == _bits(heap_query(rows, q, 9))
+
+    def test_l2_query_reranks_without_the_full_distance_scan(self, monkeypatch):
+        store = random_store(Rng(22), 500, 6, 3, StoreMetric.L2)
+        q = Rng(23).normals(6)
+        expected = _bits(heap_query(store, q, 7))
+
+        def no_scan(self, query_):
+            raise AssertionError("L2 search called the full distance scan")
+
+        monkeypatch.setattr(RepresentationStore, "distances", no_scan)
+        assert _bits(query(store, q, 7)) == expected
+
+
 class TestNeighborDistribution:
+    def test_matches_per_neighbor_loop_bitwise(self):
+        rng = Rng(12)
+        for _ in range(300):
+            c = 1 + rng.bounded(6)
+            n = 1 + rng.bounded(25)
+            dist = rng.uniforms(n) * 4.0
+            nbs = [Neighbor(i, float(dist[i]), rng.bounded(c)) for i in range(n)]
+            assert np.array_equal(neighbor_distribution(nbs, c),
+                                  loop_neighbor_distribution(nbs, c))
+
+    def test_label_out_of_range_rejected(self):
+        with pytest.raises(ValidationError):
+            neighbor_distribution([Neighbor(0, 0.1, 2)], 2)
+
     def test_single_neighbor_one_hot(self):
         out = neighbor_distribution([Neighbor(0, 0.3, 2)], 4)
         np.testing.assert_allclose(out, [0, 0, 1, 0], atol=0)
@@ -305,6 +419,18 @@ class TestPredict:
         np.testing.assert_allclose(out.p_pro_sharp, p_pro, atol=1e-10)
         np.testing.assert_allclose(out.p_knn, p_knn, atol=1e-10)
         np.testing.assert_allclose(out.p_final, p_final, atol=1e-10)
+
+    def test_breakdown_carries_each_store_neighbors(self):
+        params, feat, ds, s_text, s_pro = build_fixture()
+        text = "apple tiger melon"
+        out = predict(text, params, feat, s_text, s_pro, InferenceConfig(k=4))
+        h = encode(feat.transform(text), params)
+        assert out.text_neighbors == query(s_text, h, 4)
+        assert out.pro_neighbors == query(s_pro, classify(h, params), 4)
+        cfg = InferenceConfig(k=4, use_pro_knn=False)
+        out = predict(text, params, feat, s_text, None, cfg)
+        assert out.text_neighbors == query(s_text, h, 4)
+        assert out.pro_neighbors is None
 
     def test_fingerprint_mismatch_rejected(self):
         params, feat, ds, s_text, s_pro = build_fixture()
