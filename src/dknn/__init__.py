@@ -53,6 +53,7 @@ from .stores import (
     load_store,
     neighbor_distribution,
     predict,
+    predict_many,
     query,
     save_store,
 )

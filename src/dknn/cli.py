@@ -47,10 +47,9 @@ from .model import (
     LLConfig,
     ModelParams,
     load_checkpoint,
-    model_fingerprint,
     save_checkpoint,
 )
-from .stores import InferenceConfig, build_stores, load_store, predict, save_store
+from .stores import InferenceConfig, build_stores, load_store, predict_many, save_store
 from .trainer import TrainConfig, save_history, train
 
 
@@ -67,11 +66,18 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ValidationError(f"config key {key!r}: cannot parse boolean from {raw!r}")
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def load_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -430,17 +436,12 @@ def _cmd_predict(cfg: dict) -> int:
         input_path = Path(str(cfg["file"]))
         if not input_path.is_file():
             raise ValidationError(f"input file not found: {input_path}")
-        texts = [ln for ln in input_path.read_text("utf-8").splitlines() if ln.strip()]
+        texts = [ln for ln in _read_utf8(input_path).splitlines() if ln.strip()]
     else:
         raise ValidationError("predict needs --text or --file")
 
-    # one hash of the checkpoint serves every text's store check
-    fingerprint = None
-    if text_store is not None or pro_store is not None:
-        fingerprint = model_fingerprint(params)
-    for text in texts:
-        breakdown = predict(text, params, featurizer, text_store, pro_store, icfg,
-                            fingerprint=fingerprint)
+    breakdowns = predict_many(texts, params, featurizer, text_store, pro_store, icfg)
+    for text, breakdown in zip(texts, breakdowns):
         print(_breakdown_json(text, breakdown, label_names, bool(cfg["explain"])))
     return 0
 

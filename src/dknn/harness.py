@@ -88,21 +88,8 @@ class Dataset:
 # loading
 
 
-def load_dataset(path, fmt: str | None = None) -> Dataset:
-    """Read JSONL ({"text","label","coarse"?}) or CSV (header text,label[,coarse]).
-
-    The label vocabulary is built in first-occurrence order. The coarse
-    mapping is populated iff every record carries a coarse value, and a label
-    must map to the same coarse value everywhere.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"dataset file not found: {path}")
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown dataset format {fmt!r}")
-
+def _read_records(path: Path, fmt: str) -> list[tuple[str, str, str | None]]:
+    """(text, label, coarse or None) per record of a JSONL or CSV file."""
     records: list[tuple[str, str, str | None]] = []
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -145,6 +132,28 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
                 records.append(
                     (row[0], row[1], row[2] if has_coarse else None)
                 )
+    return records
+
+
+def load_dataset(path, fmt: str | None = None) -> Dataset:
+    """Read JSONL ({"text","label","coarse"?}) or CSV (header text,label[,coarse]).
+
+    The label vocabulary is built in first-occurrence order. The coarse
+    mapping is populated iff every record carries a coarse value, and a label
+    must map to the same coarse value everywhere.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"dataset file not found: {path}")
+    if fmt is None:
+        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
+    if fmt not in ("jsonl", "csv"):
+        raise ValidationError(f"unknown dataset format {fmt!r}")
+
+    try:
+        records = _read_records(path, fmt)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
     if not records:
         raise ValidationError(f"{path}: no records")
 
@@ -650,6 +659,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float]) -> Experim
     rows = []
     for value in values:
         if parameter == "k":
+            if not float(value).is_integer():
+                raise ValidationError(f"k must be a whole number, got {value}")
             k = int(value)
             if k < 0:
                 raise ValidationError("k must be >= 0")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CorruptArtifactError, ValidationError
-from .mathcore import CE_EPS, KL_EPS, softmax, softmax_rows
+from .mathcore import CE_EPS, KL_EPS, softmax_rows
 
 CHECKPOINT_MAGIC = b"DKNM"
 CHECKPOINT_VERSION = 1
@@ -107,33 +107,82 @@ class LossBreakdown:
 # forward operations
 
 
+FORWARD_BLOCK = 256  # rows per block of forward_batch; no bit depends on it
+
+
+def _embed_rows(row_ptr, cols, vals, params: ModelParams) -> np.ndarray:
+    """h = tanh(b1 + sum_j vals_j W1[cols_j]) for every CSR row.
+
+    Each row is reduced by ``np.add.reduceat`` over its own entries, so its
+    bits depend on nothing else in the call. An empty row is b1 alone, since
+    reduceat at equal offsets returns an element, not 0."""
+    lo, hi = row_ptr[0], row_ptr[-1]
+    starts = row_ptr[:-1] - lo
+    g = params.w1[cols[lo:hi]]
+    g *= vals[lo:hi, None]
+    nonempty = row_ptr[1:] > row_ptr[:-1]
+    if nonempty.all():
+        z = np.add.reduceat(g, starts, axis=0)
+    else:
+        z = np.zeros((len(starts), params.embed_dim))
+        z[nonempty] = np.add.reduceat(g, starts[nonempty], axis=0)
+    z += params.b1
+    return np.tanh(z, out=z)
+
+
+def _head_rows(h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """p = softmax(h W2 + b2) per row, with h W2 summed over d in a fixed
+    order (a GEMM picks its kernel, and so its bits, by batch shape)."""
+    logits = np.add.reduce(h[:, :, None] * params.w2, axis=1)
+    logits += params.b2
+    return softmax_rows(logits)
+
+
+def forward_batch(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray], params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H, P) for CSR feature rows ``(row_ptr, cols, vals)``, as
+    ``Featurizer.transform_rows`` returns them.
+
+    The inference forward of every caller. It runs in blocks of
+    FORWARD_BLOCK rows, and each row's bits depend only on its own entries,
+    so any split of a batch gives the same bits as the whole."""
+    row_ptr, cols, vals = rows
+    n = len(row_ptr) - 1
+    if n <= FORWARD_BLOCK:  # one block, returned without a copy
+        h = _embed_rows(row_ptr, cols, vals, params)
+        return h, _head_rows(h, params)
+    h = np.empty((n, params.embed_dim))
+    p = np.empty((n, params.n_classes))
+    for lo in range(0, n, FORWARD_BLOCK):
+        hi = min(lo + FORWARD_BLOCK, n)
+        h[lo:hi] = _embed_rows(row_ptr[lo:hi + 1], cols, vals, params)
+        p[lo:hi] = _head_rows(h[lo:hi], params)
+    return h, p
+
+
 def encode(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Text embedding h = tanh(x W1 + b1)."""
+    """Text embedding h = tanh(x W1 + b1) of one dense feature vector: the
+    1-row case of forward_batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.feature_dim,):
         raise ValueError(f"expected feature vector of length {params.feature_dim}")
-    return np.tanh(x @ params.w1 + params.b1)
+    cols = np.flatnonzero(x)
+    return _embed_rows(np.array([0, len(cols)]), cols, x[cols], params)[0]
 
 
 def classify(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Predicted class distribution p = softmax(h W2 + b2)."""
+    """Predicted class distribution p = softmax(h W2 + b2) of one embedding:
+    the 1-row case of forward_batch."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (params.embed_dim,):
         raise ValueError(f"expected embedding of length {params.embed_dim}")
-    return softmax(h @ params.w2 + params.b2)
+    return _head_rows(h[None, :], params)[0]
 
 
 def _mirror(m: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one: exact symmetry."""
     return np.triu(m) + np.triu(m, 1).T
-
-
-def forward_batch(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(H, P) for a batch of feature rows."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.tanh(x @ params.w1 + params.b1)
-    p = softmax_rows(h @ params.w2 + params.b2)
-    return h, p
 
 
 # ---------------------------------------------------------------------------

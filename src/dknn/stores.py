@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import ArtifactMismatchError, CorruptArtifactError, ValidationError
 from .features import Featurizer
 from .mathcore import KL_EPS, is_distribution, sharpen
-from .model import ModelParams, encode, classify, forward_batch, model_fingerprint
+from .model import ModelParams, forward_batch, model_fingerprint
 
 STORE_MAGIC = b"DKNS"
 STORE_VERSION = 1
@@ -100,6 +100,8 @@ class RepresentationStore:
         labels = np.ascontiguousarray(labels, dtype=np.uint32)
         if keys.ndim != 2 or keys.shape[0] != labels.shape[0]:
             raise ValidationError("keys must be (N, dim) with one label per row")
+        if not np.isfinite(keys).all():
+            raise ValidationError("store keys must be finite")
         if labels.size and int(labels.max()) >= n_classes:
             raise ValidationError(
                 f"label {int(labels.max())} out of range for {n_classes} classes"
@@ -170,8 +172,7 @@ def build_stores(
     example, in dataset order."""
     if train_set.n == 0:
         raise ValidationError("cannot build stores from an empty training set")
-    x = featurizer.transform_many(train_set.texts)
-    h, p = forward_batch(x, params)
+    h, p = forward_batch(featurizer.transform_rows(train_set.texts), params)
     labels = np.asarray(train_set.labels, dtype=np.uint32)
     c = params.n_classes
     fp = model_fingerprint(params)
@@ -314,7 +315,25 @@ def predict(
     cfg: InferenceConfig,
     fingerprint: int | None = None,
 ) -> PredictionBreakdown:
-    """Full inference pipeline for one text.
+    """Full inference pipeline for one text: the 1-row case of predict_many."""
+    return predict_many([text], params, featurizer, text_store, pro_store, cfg,
+                        fingerprint)[0]
+
+
+def predict_many(
+    texts: list[str],
+    params: ModelParams,
+    featurizer: Featurizer,
+    text_store: RepresentationStore | None,
+    pro_store: RepresentationStore | None,
+    cfg: InferenceConfig,
+    fingerprint: int | None = None,
+) -> list[PredictionBreakdown]:
+    """Full inference pipeline for every text, in order.
+
+    The stores are checked once, and the texts are featurized and run
+    through forward_batch once; each text is then searched on its own. Each
+    breakdown equals ``predict`` of its text alone, bit for bit.
 
     With one kNN module disabled the combined distribution is the remaining
     module's sharpened distribution alone (no averaging against zeros); with
@@ -325,21 +344,31 @@ def predict(
     cfg.validate()
     if fingerprint is None and (cfg.use_text_knn or cfg.use_pro_knn):
         fingerprint = model_fingerprint(params)
+    if cfg.use_text_knn:
+        _require_store(text_store, StoreMetric.L2, params, fingerprint, "text")
+    if cfg.use_pro_knn:
+        _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
+    h, p = forward_batch(featurizer.transform_rows(texts), params)
+    return [_predict_row(h_i, p_i, text_store, pro_store, cfg) for h_i, p_i in zip(h, p)]
 
-    x = featurizer.transform(text)
-    h = encode(x, params)
-    p_model = classify(h, params)
 
+def _predict_row(
+    h: np.ndarray,
+    p_model: np.ndarray,
+    text_store: RepresentationStore | None,
+    pro_store: RepresentationStore | None,
+    cfg: InferenceConfig,
+) -> PredictionBreakdown:
+    """Search, combine and interpolate for one row of the forward."""
+    c = len(p_model)
     p_text_sharp = p_pro_sharp = None
     text_neighbors = pro_neighbors = None
     if cfg.use_text_knn:
-        _require_store(text_store, StoreMetric.L2, params, fingerprint, "text")
         text_neighbors = query(text_store, h, cfg.k)
-        p_text_sharp = sharpen(neighbor_distribution(text_neighbors, params.n_classes))
+        p_text_sharp = sharpen(neighbor_distribution(text_neighbors, c))
     if cfg.use_pro_knn:
-        _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
         pro_neighbors = query(pro_store, p_model, cfg.k)
-        p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, params.n_classes))
+        p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, c))
 
     if p_text_sharp is not None and p_pro_sharp is not None:
         p_knn = combine_knn(p_text_sharp, p_pro_sharp)

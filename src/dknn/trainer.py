@@ -169,8 +169,9 @@ def init_params(
     )
 
 
-def _accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    _, p = forward_batch(x, params)
+def _accuracy(params: ModelParams, rows, y: np.ndarray) -> float:
+    """Share of CSR feature rows whose argmax prediction is the label."""
+    _, p = forward_batch(rows, params)
     # np.argmax already breaks ties by lowest index
     return float(np.mean(np.argmax(p, axis=1) == y))
 
@@ -199,9 +200,9 @@ def train(
     y = np.asarray(train_set.labels, dtype=np.int64)
     if np.any(y >= n_classes):
         raise ValidationError("label index outside the dataset vocabulary")
-    x_dev = y_dev = None
+    dev_rows = y_dev = None
     if dev_set is not None and dev_set.n > 0:
-        x_dev = featurizer.transform_many(dev_set.texts)
+        dev_rows = featurizer.transform_rows(dev_set.texts)
         y_dev = np.asarray(dev_set.labels, dtype=np.int64)
 
     rng = Rng(config.seed)
@@ -232,8 +233,8 @@ def train(
             steps += 1
         ce, kl, cl, active = (sums / n).tolist()
         dev_acc = None
-        if x_dev is not None:
-            dev_acc = _accuracy(params, x_dev, y_dev)
+        if dev_rows is not None:
+            dev_acc = _accuracy(params, dev_rows, y_dev)
         history.append(
             EpochRecord(
                 epoch=epoch + 1, ce=ce, kl=kl, cl=cl, total=ce + kl + cl,
@@ -252,5 +253,4 @@ def evaluate(params: ModelParams, featurizer: Featurizer, dataset) -> float:
     y = np.asarray(dataset.labels, dtype=np.int64)
     if np.any(y >= params.n_classes):
         raise ValidationError("dataset labels exceed the model's class count")
-    x = featurizer.transform_many(dataset.texts)
-    return _accuracy(params, x, y)
+    return _accuracy(params, featurizer.transform_rows(dataset.texts), y)

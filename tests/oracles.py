@@ -16,8 +16,8 @@ import numpy as np
 
 from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
-from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax
-from dknn.model import _mirror
+from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax, softmax_rows
+from dknn.model import ModelParams, _mirror
 from dknn.stores import Neighbor, RepresentationStore
 
 
@@ -45,6 +45,13 @@ def dense_transform(featurizer: Featurizer, text: str) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+def dense_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(H, P) for a dense batch of feature rows, as two GEMMs: the inference
+    forward before it went over CSR rows. Its bits depend on the batch."""
+    h = np.tanh(x @ params.w1 + params.b1)
+    return h, softmax_rows(h @ params.w2 + params.b2)
 
 
 def dense_adam_step(params: dict, grads: dict, m: dict, v: dict, step: int,

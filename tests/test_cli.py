@@ -174,6 +174,21 @@ class TestPredict:
             }
             assert json.dumps(full) == line
 
+    def test_file_output_equals_concatenated_text_outputs(self, workspace, tmp_path, capsys):
+        root, data, out = workspace
+        texts = ["g0w1 g0w2", "g1w4 g1w5", "--- !!!", "l2w1 g1w0", "unseen", "g0w1 g0w2"]
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("\n".join(texts) + "\n")
+        base = ["predict", "--checkpoint", str(out / "checkpoint.dknm"), "--k", "5",
+                "--explain"]
+        assert main(base + ["--file", str(inputs)]) == 0
+        from_file = capsys.readouterr().out
+        one_by_one = []
+        for text in texts:
+            assert main(base + ["--text", text]) == 0
+            one_by_one.append(capsys.readouterr().out)
+        assert from_file == "".join(one_by_one)
+
     def test_explain_lists_only_enabled_stores(self, workspace, capsys):
         root, data, out = workspace
         assert main(["predict", "--checkpoint", str(out / "checkpoint.dknm"),
@@ -258,6 +273,14 @@ def _idf_negative(out, tmp_path):
     return _tfidf_featurizer(out, tmp_path, lambda width: [-1.0] * width)
 
 
+def _store_nan_key(out, tmp_path):
+    blob = bytearray((out / "store_text.dkns").read_bytes())
+    blob[27:31] = struct.pack("<f", float("nan"))  # first entry of the first key
+    path = tmp_path / "store_text.dkns"
+    path.write_bytes(bytes(blob))
+    return ["--text-store", str(path)]
+
+
 @pytest.mark.parametrize(
     "corrupt, code",
     [
@@ -268,9 +291,10 @@ def _idf_negative(out, tmp_path):
         (_idf_truncated, 4),
         (_idf_nan, 4),
         (_idf_negative, 4),
+        (_store_nan_key, 4),
     ],
     ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
-         "idf-truncated", "idf-nan", "idf-negative"],
+         "idf-truncated", "idf-nan", "idf-negative", "store-nan-key"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace
@@ -298,6 +322,42 @@ def test_train_bad_config_exits_with_one_error_line(workspace, tmp_path, flags, 
             "--epochs", "1", "--feature-dim", "64", "--embed-dim", "4"] + flags
     line = _run_expecting_one_error_line(argv, 2)
     assert option in line
+
+
+NOT_UTF8 = b"text,label\ncaf\xe9 ok,a\n"  # a Latin-1 byte, as a UTF-8 decoder sees it
+
+
+@pytest.mark.parametrize("case", ["dataset-csv", "dataset-jsonl", "config", "predict-file"])
+def test_non_utf8_input_exits_2(workspace, tmp_path, case):
+    root, data, out = workspace
+    train = ["train", "--out", str(tmp_path / "run"), "--epochs", "1",
+             "--feature-dim", "64", "--embed-dim", "4"]
+    if case == "dataset-csv":
+        (tmp_path / "bad.csv").write_bytes(NOT_UTF8)
+        argv = train + ["--dataset", str(tmp_path / "bad.csv")]
+    elif case == "dataset-jsonl":
+        (tmp_path / "bad.jsonl").write_bytes(b'{"text": "caf\xe9", "label": "a"}\n')
+        argv = train + ["--dataset", str(tmp_path / "bad.jsonl")]
+    elif case == "config":
+        (tmp_path / "bad.cfg").write_bytes(b"# caf\xe9\nepochs=1\n")
+        argv = train + ["--dataset", str(data), "--config", str(tmp_path / "bad.cfg")]
+    else:
+        (tmp_path / "in.txt").write_bytes(b"g0w1 caf\xe9\n")
+        argv = ["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                "--file", str(tmp_path / "in.txt")]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert "UTF-8" in line
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
+def test_sweep_k_must_be_a_whole_number(workspace, tmp_path, value):
+    root, data, out = workspace
+    argv = ["sweep", "--dataset", str(data), "--out", str(tmp_path / "sweep"),
+            "--param", "k", "--values", f"4,{value}", "--repeats", "1",
+            "--epochs", "1", "--feature-dim", "64", "--embed-dim", "4"]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert "k must be a whole number" in line
+    assert not (tmp_path / "sweep" / "report.json").exists()
 
 
 def _run_expecting_one_error_line(argv: list[str], code: int) -> str:

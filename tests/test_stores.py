@@ -26,6 +26,7 @@ from dknn.stores import (
     load_store,
     neighbor_distribution,
     predict,
+    predict_many,
     query,
     save_store,
     store_bytes,
@@ -158,6 +159,14 @@ class TestQuery:
         keys = np.array([[0.4, 0.4], [5.0, 5.0]], dtype=np.float32)
         with pytest.raises(ValidationError):
             RepresentationStore(keys, np.zeros(2, np.uint32), StoreMetric.KL, 2, 0)
+
+    @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_keys_rejected(self, metric, bad):
+        keys = np.full((3, 2), 0.5)
+        keys[1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            RepresentationStore(keys, np.zeros(3, np.uint32), metric, 2, 0)
 
     def test_kl_distance_uses_key_first_argument_order(self):
         store = random_store(Rng(6), 4, 3, 2, StoreMetric.KL)
@@ -437,6 +446,28 @@ class TestPredict:
         other = tiny_params(64, 4, 2, seed=99)
         with pytest.raises(ArtifactMismatchError):
             predict("apple", other, feat, s_text, s_pro, InferenceConfig())
+
+    @pytest.mark.parametrize(
+        "text_knn, pro_knn", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    def test_predict_many_equals_predict_per_text(self, text_knn, pro_knn):
+        params, feat, ds, s_text, s_pro = build_fixture()
+        texts = ds.texts + ["", "--- !!!", "apple tiger melon", "unseen words only"]
+        cfg = InferenceConfig(k=4, lam=0.3, use_text_knn=text_knn, use_pro_knn=pro_knn)
+        many = predict_many(texts, params, feat, s_text, s_pro, cfg)
+        assert len(many) == len(texts)
+        for text, got in zip(texts, many, strict=True):
+            want = predict(text, params, feat, s_text, s_pro, cfg)
+            for name in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert np.array_equal(a, b) and np.array_equal(
+                        np.signbit(a), np.signbit(b)), name
+            assert got.label == want.label
+            assert got.text_neighbors == want.text_neighbors
+            assert got.pro_neighbors == want.pro_neighbors
+        assert predict_many([], params, feat, s_text, s_pro, cfg) == []
 
     def test_all_breakdown_fields_are_distributions(self):
         from dknn.mathcore import is_distribution
