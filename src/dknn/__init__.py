@@ -50,6 +50,7 @@ from .stores import (
     build_stores,
     combine_knn,
     interpolate,
+    iter_predictions,
     load_store,
     neighbor_distribution,
     predict,

@@ -49,7 +49,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .stores import InferenceConfig, build_stores, load_store, predict_many, save_store
+from .stores import InferenceConfig, build_stores, iter_predictions, load_store, save_store
 from .trainer import TrainConfig, save_history, train
 
 
@@ -440,7 +440,7 @@ def _cmd_predict(cfg: dict) -> int:
     else:
         raise ValidationError("predict needs --text or --file")
 
-    breakdowns = predict_many(texts, params, featurizer, text_store, pro_store, icfg)
+    breakdowns = iter_predictions(texts, params, featurizer, text_store, pro_store, icfg)
     for text, breakdown in zip(texts, breakdowns):
         print(_breakdown_json(text, breakdown, label_names, bool(cfg["explain"])))
     return 0

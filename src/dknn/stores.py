@@ -17,6 +17,7 @@ u64 model fingerprint | N*dim f32 keys row-major | N u32 labels.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -329,11 +330,30 @@ def predict_many(
     cfg: InferenceConfig,
     fingerprint: int | None = None,
 ) -> list[PredictionBreakdown]:
-    """Full inference pipeline for every text, in order.
+    """Full inference pipeline for every text, in order: the list of
+    iter_predictions."""
+    return list(iter_predictions(texts, params, featurizer, text_store, pro_store, cfg,
+                                 fingerprint))
 
-    The stores are checked once, and the texts are featurized and run
-    through forward_batch once; each text is then searched on its own. Each
-    breakdown equals ``predict`` of its text alone, bit for bit.
+
+def iter_predictions(
+    texts: list[str],
+    params: ModelParams,
+    featurizer: Featurizer,
+    text_store: RepresentationStore | None,
+    pro_store: RepresentationStore | None,
+    cfg: InferenceConfig,
+    fingerprint: int | None = None,
+) -> Iterator[PredictionBreakdown]:
+    """Breakdowns of every text, in order, made one at a time.
+
+    The config and stores are checked, and the texts featurized and run
+    through forward_batch, before this returns; each text is then searched
+    when its breakdown is asked for. Each breakdown equals ``predict`` of
+    its text alone, bit for bit. A caller that drops each breakdown before
+    asking for the next, as ``dknn predict`` does, holds one at a time: a
+    long ``--file`` then piles up no neighbor lists for the garbage
+    collector to promote and rescan.
 
     With one kNN module disabled the combined distribution is the remaining
     module's sharpened distribution alone (no averaging against zeros); with
@@ -349,7 +369,7 @@ def predict_many(
     if cfg.use_pro_knn:
         _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
     h, p = forward_batch(featurizer.transform_rows(texts), params)
-    return [_predict_row(h_i, p_i, text_store, pro_store, cfg) for h_i, p_i in zip(h, p)]
+    return (_predict_row(h_i, p_i, text_store, pro_store, cfg) for h_i, p_i in zip(h, p))
 
 
 def _predict_row(

@@ -3,12 +3,14 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dknn
+from dknn import cli
 from dknn.cli import main
 from dknn.features import Featurizer, fnv1a64
 from dknn.model import load_checkpoint
@@ -188,6 +190,27 @@ class TestPredict:
             assert main(base + ["--text", text]) == 0
             one_by_one.append(capsys.readouterr().out)
         assert from_file == "".join(one_by_one)
+
+    def test_file_holds_one_breakdown_at_a_time(self, workspace, tmp_path, monkeypatch,
+                                               capsys):
+        """--file prints and drops each breakdown before the next is made, so
+        a long file leaves the garbage collector no growing pile of them."""
+        root, data, out = workspace
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("\n".join(["g0w1 g0w2", "g1w4", "l2w1 g1w0", "unseen"] * 5) + "\n")
+        seen, alive = [], []
+        serialize = cli._breakdown_json
+
+        def counting(text, breakdown, *args):
+            alive.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(breakdown))
+            return serialize(text, breakdown, *args)
+
+        monkeypatch.setattr(cli, "_breakdown_json", counting)
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                     "--file", str(inputs)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 20
+        assert alive == [0] * 20
 
     def test_explain_lists_only_enabled_stores(self, workspace, capsys):
         root, data, out = workspace

@@ -23,6 +23,7 @@ from dknn.stores import (
     build_stores,
     combine_knn,
     interpolate,
+    iter_predictions,
     load_store,
     neighbor_distribution,
     predict,
@@ -468,6 +469,16 @@ class TestPredict:
             assert got.text_neighbors == want.text_neighbors
             assert got.pro_neighbors == want.pro_neighbors
         assert predict_many([], params, feat, s_text, s_pro, cfg) == []
+
+    def test_iter_predictions_checks_stores_before_it_returns(self):
+        params, feat, ds, s_text, s_pro = build_fixture()
+        other = tiny_params(64, 4, 2, seed=99)
+        with pytest.raises(ArtifactMismatchError):
+            iter_predictions(["apple"], other, feat, s_text, s_pro, InferenceConfig())
+        cfg = InferenceConfig(k=4)
+        got = iter_predictions(ds.texts, params, feat, s_text, s_pro, cfg)
+        assert [b.p_final.tobytes() for b in got] == [
+            b.p_final.tobytes() for b in predict_many(ds.texts, params, feat, s_text, s_pro, cfg)]
 
     def test_all_breakdown_fields_are_distributions(self):
         from dknn.mathcore import is_distribution
