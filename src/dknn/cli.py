@@ -23,6 +23,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .artifacts import write_atomic
 from .exceptions import (
     ArtifactMismatchError,
     CorruptArtifactError,
@@ -248,7 +249,7 @@ def _effective(command: str, args: argparse.Namespace) -> dict:
 def _echo_config(cfg: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{key}={cfg[key]}" for key in sorted(cfg)]
-    (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    write_atomic(out_dir / "effective_config.txt", "\n".join(lines) + "\n")
 
 
 def _require(cfg: dict, key: str) -> object:
@@ -309,7 +310,7 @@ def _inference_config(cfg: dict) -> InferenceConfig:
 
 def _save_featurizer(featurizer: Featurizer, label_names: list[str], path: Path) -> None:
     doc = {"featurizer": featurizer.to_dict(), "label_names": label_names}
-    path.write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _load_featurizer(path: Path) -> tuple[Featurizer, list[str]]:
@@ -512,7 +513,7 @@ def _cmd_export_store(cfg: dict) -> int:
         lines.append("\t".join(fields))
     body = "\n".join(lines) + "\n"
     if out:
-        Path(str(out)).write_text(body, "utf-8")
+        write_atomic(str(out), body)
         print(f"wrote {out} ({store.n} rows)")
     else:
         sys.stdout.write(body)

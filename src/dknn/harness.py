@@ -22,6 +22,7 @@ from statistics import stdev
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .exceptions import ValidationError
 from .features import Featurizer, FeaturizerConfig, fit_featurizer, fnv1a64
 from .model import LLConfig, ModelParams, model_fingerprint
@@ -467,8 +468,8 @@ class ExperimentReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         json_path = out_dir / f"{stem}.json"
         table_path = out_dir / f"{stem}.txt"
-        json_path.write_text(self.to_json(), encoding="utf-8")
-        table_path.write_text(self.to_table(), encoding="utf-8")
+        write_atomic(json_path, self.to_json())
+        write_atomic(table_path, self.to_table())
         return json_path, table_path
 
     def row(self, config_id: str) -> ReportRow:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .exceptions import CorruptArtifactError, ValidationError
 from .mathcore import CE_EPS, KL_EPS, softmax_rows
 
@@ -182,7 +183,8 @@ def classify(h: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _mirror(m: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one: exact symmetry."""
-    return np.triu(m) + np.triu(m, 1).T
+    idx = np.arange(len(m))
+    return np.where(idx[:, None] > idx, m.T, m)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +230,14 @@ def batch_loss_and_gradients(
     cl_on = cfg.enable_cl and c >= 2
     ll_on = kl_on or cl_on
 
-    alpha = gram = m_all = None
     if ll_on:
         alpha = softmax_rows(h @ lbl.T)
         gram = _mirror(lbl @ lbl.T)
-        m_all = alpha[:, :, None] * alpha[:, None, :] * gram
 
     kl = 0.0
-    q = qn = pn = sq = sp = kl_vec = None
     if kl_on:
-        mrow = m_all[rows, y, :]
+        # row y of M, with the same products as the full (B, c, c) tensor
+        mrow = alpha[rows, y, None] * alpha * gram[y]
         q = softmax_rows(mrow)
         qs = q + KL_EPS
         sq = qs.sum(axis=1, keepdims=True)
@@ -245,22 +245,28 @@ def batch_loss_and_gradients(
         ps = p + KL_EPS
         sp = ps.sum(axis=1, keepdims=True)
         pn = ps / sp
-        kl_vec = (qn * (np.log(qn) - np.log(pn))).sum(axis=1)
+        log_ratio = np.log(qn) - np.log(pn)
+        kl_vec = (qn * log_ratio).sum(axis=1)
         kl = float(kl_vec.mean())
 
     cl = 0.0
-    active = None
-    kappa = 0.0
     active_fraction = 0.0
     if cl_on:
         kappa = 1.0 / (c * (c - 1))
-        diag = m_all[:, np.arange(c), np.arange(c)]
-        hinge = cfg.rho - diag[:, :, None] + m_all
-        off = ~np.eye(c, dtype=bool)
-        active = (hinge > 0.0) & off
-        cl_vec = np.where(active, hinge, 0.0).sum(axis=(1, 2)) * kappa
+        diag_idx = np.arange(c)
+        m_all = np.einsum("bi,bj->bij", alpha, alpha)  # one product per entry
+        m_all *= gram
+        margin = cfg.rho - m_all[:, diag_idx, diag_idx]
+        hinge = np.add(margin[:, :, None], m_all, out=m_all)
+        # i == j is no pair: a 0.0 there keeps it out of `active`, and its
+        # +0.0 keeps a sum of folded inactive entries (-x * False = -0.0)
+        # at +0.0, whatever value the reduction starts from.
+        hinge[:, diag_idx, diag_idx] = 0.0
+        active = hinge > 0.0
+        hinge *= active
+        cl_vec = hinge.sum(axis=(1, 2)) * kappa
         cl = float(cl_vec.mean())
-        active_fraction = float(active.sum()) * kappa / batch
+        active_fraction = np.count_nonzero(active) * kappa / batch
 
     breakdown = LossBreakdown(
         ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
@@ -275,31 +281,36 @@ def batch_loss_and_gradients(
     ce_live = (py >= CE_EPS)[:, None]  # clamped rows contribute no CE gradient
     dz2 = np.where(ce_live, (p - onehot) * ce_scale, 0.0)
 
-    dmrow = None
-    if kl_on:
-        kl_scale = 1.0 / batch
-        g_p = (1.0 - qn / pn) / sp * kl_scale
-        dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
-        g_q = (np.log(qn) - np.log(pn) - kl_vec[:, None]) / sq * kl_scale
-        dmrow = q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
-
     d_label = np.zeros_like(lbl)
     dh_att = 0.0
     if ll_on:
-        dm = np.zeros((batch, c, c))
         if cl_on:
             cl_scale = kappa / batch
-            dm += active * cl_scale
-            dm[:, np.arange(c), np.arange(c)] -= cl_scale * active.sum(axis=2)
+            dm = active.astype(np.float64)
+            # active counts per row, exact in float64
+            counts = dm.reshape(-1, c) @ np.ones(c)
+            dm *= cl_scale
+            dm[:, diag_idx, diag_idx] -= cl_scale * counts.reshape(batch, c)
+        else:
+            dm = np.zeros((batch, c, c))
         if kl_on:
-            dm[rows, y, :] += dmrow
-        sym = dm + dm.transpose(0, 2, 1)
-        dalpha = np.einsum("bij,ij,bj->bi", sym, gram, alpha)
-        weights = alpha[:, :, None] * sym * alpha[:, None, :]
-        d_label += np.einsum("bij,jd->id", weights, lbl)
+            kl_scale = 1.0 / batch
+            g_p = (1.0 - qn / pn) / sp * kl_scale
+            dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+            g_q = (log_ratio - kl_vec[:, None]) / sq * kl_scale
+            dm[rows, y, :] += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+        # With s_ij = (dm_ij + dm_ji) alpha_j per example: dL/dalpha_i is
+        # sum_j s_ij gram_ij, and label row i gets sum_j w_ij l_j with
+        # w_ij = sum_b alpha_i s_ij. Both take row i of every example at
+        # once: one matrix product per class i.
+        s = dm + dm.transpose(0, 2, 1)
+        s *= alpha[:, None, :]
+        row_i = s.transpose(1, 0, 2)  # (c, B, c)
+        dalpha = (row_i @ gram[:, :, None])[:, :, 0].T
+        weights = (alpha.T[:, None, :] @ row_i)[:, 0, :]
         dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
         dh_att = dt @ lbl
-        d_label += dt.T @ h
+        d_label = weights @ lbl + dt.T @ h
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)
@@ -368,8 +379,7 @@ def model_fingerprint(params: ModelParams) -> int:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params))
+    write_atomic(path, checkpoint_bytes(params))
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -23,6 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .exceptions import ArtifactMismatchError, CorruptArtifactError, ValidationError
 from .features import Featurizer
 from .mathcore import KL_EPS, is_distribution, sharpen
@@ -458,8 +459,7 @@ def store_bytes(store: RepresentationStore) -> bytes:
 
 
 def save_store(store: RepresentationStore, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(store_bytes(store))
+    write_atomic(path, store_bytes(store))
 
 
 def load_store(path) -> RepresentationStore:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .exceptions import NonFiniteError, ValidationError
 from .features import Featurizer, densify
 from .model import LLConfig, ModelParams, batch_loss_and_gradients, forward_batch
@@ -79,20 +80,21 @@ TrainHistory = list[EpochRecord]
 
 def save_history(history: TrainHistory, path) -> None:
     """One epoch per line, JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in history:
-            fh.write(rec.to_json() + "\n")
+    write_atomic(path, "".join(rec.to_json() + "\n" for rec in history))
 
 
 @dataclass
 class AdamState:
     """Adam moments per tensor. ``live`` marks, per 2-D tensor, the rows that
-    have ever had a nonzero gradient; a tensor without an entry is all live."""
+    have ever had a nonzero gradient; a tensor without an entry is all live.
+    ``scratch`` holds two work arrays per tensor, made on first use, so a
+    step allocates no full-size temporaries."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     live: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -129,25 +131,43 @@ def adam_step(
         g = gtensors[name]
         m = state.m[name]
         v = state.v[name]
+        scratch = state.scratch.get(name)
+        if scratch is None:
+            scratch = state.scratch[name] = (np.empty_like(m), np.empty_like(m))
         live = state.live.get(name)
         if live is not None and not live.all():
             live |= g.any(axis=1)
             rows = np.flatnonzero(live)
             tensor_r, m_r, v_r = tensor[rows], m[rows], v[rows]
-            _adam_update(tensor_r, g[rows], m_r, v_r, bc1, bc2, config)
+            num, den = (s[: len(rows)] for s in scratch)
+            _adam_update(tensor_r, g[rows], m_r, v_r, bc1, bc2, config, num, den)
             tensor[rows], m[rows], v[rows] = tensor_r, m_r, v_r
         else:
-            _adam_update(tensor, g, m, v, bc1, bc2, config)
+            _adam_update(tensor, g, m, v, bc1, bc2, config, *scratch)
     return params, state
 
 
-def _adam_update(tensor, g, m, v, bc1: float, bc2: float, config: TrainConfig) -> None:
+def _adam_update(
+    tensor, g, m, v, bc1: float, bc2: float, config: TrainConfig, num, den
+) -> None:
+    """tensor -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
+    updates, with every intermediate in the work arrays ``num`` and ``den``
+    and every operation in the order of that expression, so the bits are
+    those of the plain form (``tests/oracles.py::dense_adam_step``)."""
     b1, b2 = config.beta1, config.beta2
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=num)
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+    np.multiply(g, g, out=den)
+    den *= 1.0 - b2
+    v += den
+    np.divide(m, bc1, out=num)
+    num *= config.learning_rate
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += config.adam_eps
+    num /= den
+    tensor -= num
 
 
 def init_params(

@@ -4,7 +4,8 @@ The package computes everything through batched code paths (see
 ``dknn.model.batch_loss_and_gradients`` and ``dknn.stores``). These
 functions restate the paper's equations one example at a time, and the kNN
 search as a plain scan, so tests can check the batched results against an
-independent, obviously-correct form.
+independent, obviously-correct form. ``reference_loss_and_gradients`` keeps
+the batched training step in its first, plainest form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
 from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax, softmax_rows
-from dknn.model import ModelParams, _mirror
+from dknn.model import LLConfig, LossBreakdown, ModelParams, _mirror
 from dknn.stores import Neighbor, RepresentationStore
 
 
@@ -143,6 +144,138 @@ def soft_target(m: np.ndarray, y: int) -> np.ndarray:
     if not 0 <= y < m.shape[0]:
         raise ValueError(f"class index {y} out of range")
     return softmax(m[y])
+
+
+# ---------------------------------------------------------------------------
+# the batched training step, as first written
+
+
+def reference_loss_and_gradients(
+    x: np.ndarray,
+    y: np.ndarray,
+    params: ModelParams,
+    cfg: LLConfig,
+    with_grads: bool = True,
+) -> tuple[LossBreakdown, ModelParams | None]:
+    """The batched loss and gradients in their first form: every (B, c, c)
+    term built by broadcasting, masked with ``np.where`` and contracted with
+    ``einsum``. ``dknn.model.batch_loss_and_gradients`` must match it to
+    1e-12, and bit for bit without the label-distribution losses.
+    """
+    cfg.validate()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != params.feature_dim:
+        raise ValueError("x must be (B, feature_dim)")
+    if y.shape != (x.shape[0],):
+        raise ValueError("y must have one label per row of x")
+    c = params.n_classes
+    if np.any((y < 0) | (y >= c)):
+        raise ValueError("label out of range")
+
+    batch = x.shape[0]
+    rows = np.arange(batch)
+    lbl = params.label_emb
+
+    z1 = x @ params.w1 + params.b1
+    h = np.tanh(z1)
+    p = softmax_rows(h @ params.w2 + params.b2)
+    py = p[rows, y]
+    ce_vec = -np.log(np.maximum(py, CE_EPS))
+    ce = float(ce_vec.mean())
+
+    kl_on = cfg.enable_kl and c >= 1
+    cl_on = cfg.enable_cl and c >= 2
+    ll_on = kl_on or cl_on
+
+    alpha = gram = m_all = None
+    if ll_on:
+        alpha = softmax_rows(h @ lbl.T)
+        gram = _mirror(lbl @ lbl.T)
+        m_all = alpha[:, :, None] * alpha[:, None, :] * gram
+
+    kl = 0.0
+    q = qn = pn = sq = sp = kl_vec = None
+    if kl_on:
+        mrow = m_all[rows, y, :]
+        q = softmax_rows(mrow)
+        qs = q + KL_EPS
+        sq = qs.sum(axis=1, keepdims=True)
+        qn = qs / sq
+        ps = p + KL_EPS
+        sp = ps.sum(axis=1, keepdims=True)
+        pn = ps / sp
+        kl_vec = (qn * (np.log(qn) - np.log(pn))).sum(axis=1)
+        kl = float(kl_vec.mean())
+
+    cl = 0.0
+    active = None
+    kappa = 0.0
+    active_fraction = 0.0
+    if cl_on:
+        kappa = 1.0 / (c * (c - 1))
+        diag = m_all[:, np.arange(c), np.arange(c)]
+        hinge = cfg.rho - diag[:, :, None] + m_all
+        off = ~np.eye(c, dtype=bool)
+        active = (hinge > 0.0) & off
+        cl_vec = np.where(active, hinge, 0.0).sum(axis=(1, 2)) * kappa
+        cl = float(cl_vec.mean())
+        active_fraction = float(active.sum()) * kappa / batch
+
+    breakdown = LossBreakdown(
+        ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
+    )
+    if not with_grads:
+        return breakdown, None
+
+    # ----- backward -----
+    onehot = np.zeros((batch, c))
+    onehot[rows, y] = 1.0
+    ce_scale = 1.0 / batch
+    ce_live = (py >= CE_EPS)[:, None]  # clamped rows contribute no CE gradient
+    dz2 = np.where(ce_live, (p - onehot) * ce_scale, 0.0)
+
+    dmrow = None
+    if kl_on:
+        kl_scale = 1.0 / batch
+        g_p = (1.0 - qn / pn) / sp * kl_scale
+        dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+        g_q = (np.log(qn) - np.log(pn) - kl_vec[:, None]) / sq * kl_scale
+        dmrow = q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+
+    d_label = np.zeros_like(lbl)
+    dh_att = 0.0
+    if ll_on:
+        dm = np.zeros((batch, c, c))
+        if cl_on:
+            cl_scale = kappa / batch
+            dm += active * cl_scale
+            dm[:, np.arange(c), np.arange(c)] -= cl_scale * active.sum(axis=2)
+        if kl_on:
+            dm[rows, y, :] += dmrow
+        sym = dm + dm.transpose(0, 2, 1)
+        dalpha = np.einsum("bij,ij,bj->bi", sym, gram, alpha)
+        weights = alpha[:, :, None] * sym * alpha[:, None, :]
+        d_label += np.einsum("bij,jd->id", weights, lbl)
+        dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        dh_att = dt @ lbl
+        d_label += dt.T @ h
+
+    dh = dz2 @ params.w2.T + dh_att
+    dz1 = dh * (1.0 - h * h)
+    # Only columns present in the batch get a w1 gradient; the rest stay
+    # exactly 0. Each row reduces over the batch, so its bits equal x.T @ dz1.
+    cols = np.flatnonzero(x.any(axis=0))
+    d_w1 = np.zeros_like(params.w1)
+    d_w1[cols] = x[:, cols].T @ dz1
+    grads = ModelParams(
+        w1=d_w1,
+        b1=dz1.sum(axis=0),
+        w2=h.T @ dz2,
+        b2=dz2.sum(axis=0),
+        label_emb=d_label,
+    )
+    return breakdown, grads
 
 
 # ---------------------------------------------------------------------------
