@@ -8,6 +8,7 @@ of each token; output vectors are L2-normalized when nonzero.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass, field
 
@@ -31,6 +32,11 @@ def fnv1a64(data: bytes | str) -> int:
         h ^= byte
         h = (h * FNV64_PRIME) & _MASK64
     return h
+
+
+# The vocabulary of a corpus repeats, so each token is hashed once per
+# process while it stays among the most recent 65,536.
+_token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a64)
 
 
 def _token(raw: str, lowercase: bool) -> str:
@@ -103,7 +109,7 @@ class Featurizer:
         dim = self.dim
         if self.config.mode == "hashing":
             def column(tok: str) -> int:
-                return fnv1a64(tok) % dim
+                return _token_hash(tok) % dim
         else:
             def column(tok: str) -> int:
                 return self.vocabulary.get(tok, -1)

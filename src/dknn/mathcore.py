@@ -25,9 +25,11 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
 def is_distribution(p, tol: float = DISTRIBUTION_TOL) -> bool:
     """True if p is a probability vector: nonnegative, sums to 1 within tol."""
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+    if arr.ndim != 1 or arr.size == 0:
         return False
-    return bool(np.all(arr >= 0.0) and abs(arr.sum() - 1.0) <= tol)
+    # two reductions: a NaN or -inf fails the min, and a nonnegative row
+    # holding +inf sums to +inf
+    return bool(arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= tol)
 
 
 def softmax(v) -> np.ndarray:

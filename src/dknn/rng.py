@@ -94,8 +94,7 @@ class Rng:
         """Fisher-Yates permutation of range(n)."""
         arr = list(range(n))
         if n > 1:
-            draws = self._bulk(n - 1)
-            for t, i in enumerate(range(n - 1, 0, -1)):
-                j = (int(draws[t]) * (i + 1)) >> 64
+            for draw, i in zip(self._bulk(n - 1).tolist(), range(n - 1, 0, -1)):
+                j = (draw * (i + 1)) >> 64
                 arr[i], arr[j] = arr[j], arr[i]
         return np.array(arr, dtype=np.int64)

@@ -16,6 +16,7 @@ u64 model fingerprint | N*dim f32 keys row-major | N u32 labels.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -78,17 +79,25 @@ class PredictionBreakdown:
 
 
 def _l2_rows(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of keys to q: the L2 oracle kernel.
+    """Euclidean distance from each row of keys to the float64 query q: the
+    L2 oracle kernel. Float32 keys are widened exactly by the subtraction.
     Each row reduces on its own, so a subset of rows gets the same bits."""
     diff = keys - q
     return np.sqrt((diff * diff).sum(axis=1))
 
 
+# Above this, 2 max ||k||^2 + ||q||^2 may not fit the float32 scan's range,
+# so an L2 query ranks every key instead.
+_F32_SAFE = 2.0**120
+
+
 class RepresentationStore:
     """Immutable key/label memory extracted from the training set.
 
-    Keys are rounded to float32, the precision of the store file, and held
-    once, widened to float64 for the search kernels."""
+    Keys are held once, as float32, the precision of the store file. An L2
+    store holds them as the first ``dim`` columns of one (N, dim + 1)
+    float32 matrix whose last column is each key's squared norm, taken in
+    float64 and rounded to float32; ``keys`` is a view of it."""
 
     def __init__(
         self,
@@ -98,8 +107,9 @@ class RepresentationStore:
         n_classes: int,
         fingerprint: int,
     ) -> None:
-        keys = np.asarray(keys, dtype=np.float32).astype(np.float64, order="C")
+        keys = np.array(keys, dtype=np.float32, order="C")
         labels = np.ascontiguousarray(labels, dtype=np.uint32)
+        metric = StoreMetric(metric)
         if keys.ndim != 2 or keys.shape[0] != labels.shape[0]:
             raise ValidationError("keys must be (N, dim) with one label per row")
         if not np.isfinite(keys).all():
@@ -108,16 +118,27 @@ class RepresentationStore:
             raise ValidationError(
                 f"label {int(labels.max())} out of range for {n_classes} classes"
             )
-        if StoreMetric(metric) == StoreMetric.KL and keys.shape[0]:
-            sums = keys.sum(axis=1)
+        if metric == StoreMetric.KL and keys.shape[0]:
+            sums = keys.sum(axis=1, dtype=np.float64)
             if np.abs(sums - 1.0).max() > 1e-6:
                 raise ValidationError("KL store keys must be probability rows")
+        self._l2_scan: np.ndarray | None = None
+        self._sq_max = 0.0
+        if metric == StoreMetric.L2:
+            wide = keys.astype(np.float64)
+            sq = np.einsum("ij,ij->i", wide, wide)
+            self._sq_max = float(sq.max(initial=0.0))
+            scan = np.empty((keys.shape[0], keys.shape[1] + 1), dtype=np.float32)
+            scan[:, :-1] = keys
+            # clipped norms belong to stores that _l2_candidates never scans
+            scan[:, -1] = np.minimum(sq, _F32_SAFE)
+            self._l2_scan = scan
+            keys = scan[:, :-1]
         self.keys = keys
         self.labels = labels
-        self.metric = StoreMetric(metric)
+        self.metric = metric
         self.n_classes = int(n_classes)
         self.fingerprint = int(fingerprint) & ((1 << 64) - 1)
-        self._l2_cache: tuple[np.ndarray, float] | None = None
         self._kl_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -128,17 +149,11 @@ class RepresentationStore:
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    def _l2_terms(self) -> tuple[np.ndarray, float]:
-        # squared key norms and their maximum, cached
-        if self._l2_cache is None:
-            sq = np.einsum("ij,ij->i", self.keys, self.keys)
-            self._l2_cache = (sq, float(sq.max(initial=0.0)))
-        return self._l2_cache
-
     def _kl_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        # smoothed/renormalized keys and sum(k~ ln k~), cached
+        # smoothed/renormalized keys, widened to float64, and sum(k~ ln k~), cached
         if self._kl_cache is None:
-            k = self.keys + KL_EPS
+            k = self.keys.astype(np.float64)
+            k += KL_EPS
             k /= k.sum(axis=1, keepdims=True)
             self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
         return self._kl_cache
@@ -189,8 +204,8 @@ def query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
     Returns min(k, N) neighbors with the distances of
     ``store.distances(q)``, bit for bit; ties on distance resolve to the
     lower store index. A KL store ranks its full distance vector, one GEMV.
-    An L2 store takes candidates from the expanded squared distance, widened
-    by a floating-point error bound, and reranks them with the L2 kernel.
+    An L2 store takes candidates from one float32 GEMV, widened by a
+    floating-point error bound, and reranks them with the L2 kernel.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -203,16 +218,13 @@ def query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
         dist = dist[idx]
     else:
         qv = store._checked_query(q)
-        sq, sq_max = store._l2_terms()
-        qq = qv @ qv
-        approx = sq - 2.0 * (store.keys @ qv) + qq
-        bound = _l2_bound(_kth_smallest(approx, limit), sq_max + qq, store.dim)
-        idx = _at_most(approx, bound)
+        idx = _l2_candidates(store, qv, limit)
         dist = _l2_rows(store.keys[idx], qv)
     order = np.lexsort((idx, dist))[:limit]
     idx = idx[order]
+    # positional arguments: keywords double the cost of each Neighbor
     return [
-        Neighbor(index=i, distance=d, label=y)
+        Neighbor(i, d, y)
         for i, d, y in zip(idx.tolist(), dist[order].tolist(),
                            store.labels[idx].tolist())
     ]
@@ -227,46 +239,90 @@ def _kth_smallest(values: np.ndarray, k: int) -> float:
 
 def _at_most(values: np.ndarray, bound: float) -> np.ndarray:
     """Indices of the values <= bound, ascending; every index when the bound
-    is not finite (k covers the store, or a NaN or overflow upstream), so
-    the rerank then orders the whole store as the full-sort oracle does."""
-    if not np.isfinite(bound):
+    is not finite (k covers the store), so the rerank then orders the whole
+    store as the full-sort oracle does."""
+    if not math.isfinite(bound):
         return np.arange(values.size)
     return np.flatnonzero(values <= bound)
 
 
-_U = np.finfo(np.float64).eps / 2.0  # unit roundoff of float64
+def _l2_candidates(store: RepresentationStore, q: np.ndarray, k: int) -> np.ndarray:
+    """Indices, ascending, of a superset of the exact top k of an L2 store.
+
+    One float32 GEMV of the scan matrix ``[k | ||k||^2]`` against
+    ``[-2q | 1]`` gives t ~ ||k||^2 - 2 k.q for every key; the candidates are
+    the keys with t within ``_l2_bound`` of the k-th smallest t. A query
+    too large for float32 (or not finite) makes every key a candidate."""
+    qq = float(q @ q)
+    norms = 2.0 * store._sq_max + qq
+    if not norms < _F32_SAFE:
+        return np.arange(store.n)
+    qa = np.empty(store.dim + 1, dtype=np.float32)
+    qa[:-1] = -2.0 * q
+    qa[-1] = 1.0
+    t = store._l2_scan @ qa
+    return _at_most(t, _l2_bound(_kth_smallest(t, k), qq, norms, store.dim))
 
 
-def _gamma(n: int) -> float:
-    return n * _U / (1.0 - n * _U)
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 
 
-def _l2_bound(kth: float, norms: float, dim: int) -> float:
-    """Largest expanded squared distance a true top-k key can have.
+def _gamma(n: int, u: float = _U64) -> float:
+    return n * u / (1.0 - n * u)
 
-    Write D = ||k - q||^2 exactly, s = fl(||k||^2 - 2 k.q + ||q||^2) as the
-    candidate step computes it, o = fl(sum(fl(k - q)^2)) as the oracle does
-    before its sqrt, u the unit roundoff, g_n = n u / (1 - n u), d = dim and
-    S = max ||k||^2 + ||q||^2 >= ||k||^2 + ||q||^2 for every key.
 
-    - Each dot product (two norms and the GEMV, any order, with or without
-      FMA) errs by at most g_d * sum|a_j b_j|, and 2 sum|k_j q_j| <=
-      2 ||k|| ||q|| <= S, so the three terms err by 2 g_d S together. The two additions err by u times a
-      magnitude of at most 2S and 3S. So |s - D| <= g_(2d+6) S.
+def _l2_bound(kth: float, qq: float, norms: float, dim: int) -> float:
+    """Largest float32 scan value t that a true top-k key can have.
+
+    Notation: u and v are the unit roundoffs of float32 and float64,
+    g_n = n u / (1 - n u) and G_n = n v / (1 - n v); eta = 2^-150 is the
+    most a float32 product or rounding adds when it underflows; d = dim.
+    For a key k (float32 entries) and the float64 query q, D = ||k - q||^2
+    and D' = D - ||q||^2 = ||k||^2 - 2 k.q, both exact; ``qq`` = ||q||^2 and
+    ``norms`` = M = 2 max ||k||^2 + ||q||^2, which the caller has checked is
+    below 2^120, so nothing in the scan overflows float32. The scan computes
+    t = fl32(x.y) with x = [k, s], s = fl32(fl64(||k||^2)) and y = [a, 1],
+    a_j = fl32(-2 q_j). Let A = 2 sum|k_j q_j| + ||k||^2 <= 2 ||k|| ||q|| +
+    ||k||^2 <= M.
+
+    - Inputs: |a_j + 2 q_j| <= 2u|q_j| + eta. The squares of float32 values
+      are exact in float64, so fl64(||k||^2) errs by at most G_d ||k||^2,
+      and |s - ||k||^2| <= (u + 2G_d) ||k||^2 + eta. Together
+      |x.y - D'| <= (u + 2G_d) A + eta (sum|k_j| + 1), and
+      sum|x_j y_j| <= (1 + u + 2G_d) A + eta (sum|k_j| + 1).
+    - Scan: a float32 dot product of d + 1 terms, in any order, with or
+      without FMA, errs by at most g_(d+1) sum|x_j y_j| + (d + 1) eta
+      (1 + g_(d+1)); a sum that underflows is exact.
+    - So |t - D'| <= E = g_(d+4) M + (d + 2) 2^-147: u + g_(d+1)(1 + u) <=
+      g_(d+2), sum|k_j| <= sqrt(d) ||k|| <= d + ||k||^2, and the G_d and
+      eta ||k||^2 terms lie far below the spare u M.
     - The oracle's d nonnegative terms carry 3 roundings each and a sum of
-      d of them, so |o - D| <= g_(d+2) D <= g_(2d+4) S, using D <= 2S.
+      d of them, so o = fl64(sum fl64(k_j - q_j)^2) has |o - D| <= G_(d+2) D.
 
-    B = g_(4d+10) S bounds both errors together. The k smallest s are at
-    most kth, so k keys have o <= kth + B, and so the k-th smallest oracle
-    distance r is at most fl(sqrt(kth + B)). A key in the answer has
-    fl(sqrt(o)) <= r, so o <= (kth + B)(1 + u)^2 / (1 - u)^2
-    <= (kth + B)(1 + g_5), and s <= o + B. kth + B >= 0, since every
-    s >= D - B >= -B. The bound below uses g_8 and g_(4d+16) in place of
-    g_5 and g_(4d+10): the spare terms absorb the roundings of S and of
-    the bound's own arithmetic, which are second order in u.
+    Let T = ``kth``, the k-th smallest t. Those k keys have D' <= T + E, so
+    D <= R = T + E + ||q||^2, and o <= (1 + G_(d+2)) R; R >= 0, since every
+    t >= D' - E >= -||q||^2 - E. So the k-th smallest oracle distance r is at
+    most fl(sqrt((1 + G_(d+2)) R)). A key in the answer has fl(sqrt(o)) <=
+    r, so o <= (1 + G_(d+2)) R (1 + v)^2 / (1 - v)^2, D <= o / (1 - G_(d+2))
+    <= (1 + G_(2d+10)) R, and its t <= D' + E <= T + 2E + G_(2d+10) R.
+
+    The bound below takes g_(d+5) and G_(2d+16) in place of g_(d+4) and
+    G_(2d+10): the spare terms absorb the float64 roundings of M and of the
+    bound's own arithmetic, each a few v of a magnitude below 3M. The
+    candidates are compared with it in float32, so it is returned through
+    ``_f32_ceiling``.
     """
-    slack = _gamma(4 * dim + 16) * norms
-    return (kth + slack) * (1.0 + _gamma(8)) + slack
+    err = _gamma(dim + 5, _U32) * norms + (dim + 2) * 2.0**-147
+    return _f32_ceiling(kth + 2.0 * err + _gamma(2 * dim + 16) * (kth + err + qq))
+
+
+def _f32_ceiling(b: float) -> float:
+    """b raised by |b| 2^-22 + 2^-149, more than half a float32 spacing at b.
+
+    NumPy rounds a Python float to the nearest float32 before it compares it
+    with a float32 array; that rounding never takes the result below b."""
+    return b + abs(b) * 2.0**-22 + 2.0**-149
 
 
 def neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
 from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax, softmax_rows
 from dknn.model import LLConfig, LossBreakdown, ModelParams, _mirror
+from dknn.rng import Rng
 from dknn.stores import Neighbor, RepresentationStore
 
 
@@ -382,3 +383,28 @@ def loop_neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.
     for nb, w in zip(neighbors, weights):
         out[nb.label] += w
     return out / out.sum()
+
+
+# ---------------------------------------------------------------------------
+# first forms of the distribution check and of the shuffle
+
+
+def reference_is_distribution(p, tol: float) -> bool:
+    """Finite, nonnegative entries summing to 1 within tol, each checked on
+    its own: the first form of ``mathcore.is_distribution``."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        return False
+    return bool(np.all(arr >= 0.0) and abs(arr.sum() - 1.0) <= tol)
+
+
+def loop_permutation(rng: Rng, n: int) -> np.ndarray:
+    """Fisher-Yates over range(n) converting one numpy draw per step: the
+    first form of ``Rng.permutation``."""
+    arr = list(range(n))
+    if n > 1:
+        draws = rng._bulk(n - 1)
+        for t, i in enumerate(range(n - 1, 0, -1)):
+            j = (int(draws[t]) * (i + 1)) >> 64
+            arr[i], arr[j] = arr[j], arr[i]
+    return np.array(arr, dtype=np.int64)

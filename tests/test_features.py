@@ -7,6 +7,7 @@ from dknn.exceptions import ValidationError
 from dknn.features import (
     Featurizer,
     FeaturizerConfig,
+    _token_hash,
     densify,
     fit_featurizer,
     fnv1a64,
@@ -199,6 +200,19 @@ class TestTransformRows:
         assert np.all((cols >= 0) & (cols < featurizer.dim))
         # the empty and punctuation-only texts have no entries
         assert row_ptr[2] == row_ptr[1] == row_ptr[3] == row_ptr[4]
+
+    def test_warm_hash_cache_gives_the_same_bits(self, featurizer):
+        _token_hash.cache_clear()
+        cold = featurizer.transform_rows(EDGE_TEXTS)
+        # warm the cache through featurizers with another dim and case rule
+        for other in (FeaturizerConfig(dim=7), FeaturizerConfig(dim=64, lowercase=False)):
+            fit_featurizer([], other).transform_rows(EDGE_TEXTS)
+        hits = _token_hash.cache_info().hits
+        warm = featurizer.transform_rows(EDGE_TEXTS)
+        for a, b in zip(cold, warm, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if featurizer.config.mode == "hashing":
+            assert _token_hash.cache_info().hits > hits
 
     def test_densify_selected_rows_in_order(self, featurizer):
         rows = featurizer.transform_rows(EDGE_TEXTS)

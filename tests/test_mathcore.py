@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from dknn.mathcore import is_distribution, sharpen, softmax
 from dknn.rng import Rng
-from oracles import cross_entropy, finite_diff_gradient, kl_divergence, l2_distance
+from oracles import (
+    cross_entropy,
+    finite_diff_gradient,
+    kl_divergence,
+    l2_distance,
+    reference_is_distribution,
+)
 
 
 def random_distribution(rng: Rng, c: int) -> np.ndarray:
@@ -49,6 +55,27 @@ class TestSoftmax:
         v = np.array(values)
         diff = softmax(v) - softmax(v + shift)
         assert np.abs(diff).max() <= 1e-12
+
+
+class TestIsDistribution:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("p", [
+        [0.5, 0.5], [1.0], [-0.0, 1.0], [0.0, -0.0, 1.0],
+        [math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf], [math.inf, 0.0],
+        [-math.inf, 1.0], [math.inf, -math.inf], [-1e-300, 1.0], [-0.25, 1.25],
+        [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [0.5, 0.5 + 2e-6], [0.5, 0.5 + 5e-10],
+        [], [[0.5, 0.5]], 1.0,
+    ])
+    def test_truth_table_equals_first_form(self, p, tol):
+        assert is_distribution(p, tol=tol) == reference_is_distribution(p, tol)
+
+    def test_edges(self):
+        assert is_distribution([-0.0, 1.0])
+        assert not is_distribution([math.nan, 1.0])
+        assert not is_distribution([math.inf, 0.0])
+        assert not is_distribution([-1e-300, 1.0])
+        assert not is_distribution([0.5, 0.5 + 2e-9])
+        assert is_distribution([0.5, 0.5 + 2e-9], tol=1e-6)
 
 
 class TestL2Distance:

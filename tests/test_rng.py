@@ -1,6 +1,7 @@
 import numpy as np
 
 from dknn.rng import Rng, mix64
+from oracles import loop_permutation
 
 
 def test_scalar_and_bulk_paths_agree():
@@ -45,6 +46,15 @@ def test_permutation_is_permutation():
     for n in (1, 2, 5, 100):
         p = Rng(20).permutation(n)
         assert sorted(p.tolist()) == list(range(n))
+
+
+def test_permutation_equals_per_draw_loop():
+    for seed in range(50):
+        for n in (0, 1, 2, 1400):
+            a, b = Rng(seed), Rng(seed)
+            got, want = a.permutation(n), loop_permutation(b, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert a.next_u64() == b.next_u64()
 
 
 def test_different_seeds_differ():

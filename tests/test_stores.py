@@ -32,6 +32,7 @@ from dknn.stores import (
     save_store,
     store_bytes,
 )
+from dknn.stores import _f32_ceiling, _l2_candidates
 
 
 def random_store(rng: Rng, n: int, dim: int, c: int, metric: StoreMetric,
@@ -218,12 +219,55 @@ def search_cases(draw):
     return store, q, draw(st.integers(1, n + 2))
 
 
+@st.composite
+def l2_scale_cases(draw):
+    """An L2 store on a float32 grid at a scale from 1e-3 to 1e4, dim up to
+    64, and a query off the grid by fractions no float32 holds. A grid at
+    1e-3 may sit 1e4 from the origin, where its step is one float32 ulp and
+    the scan's rounding errors dwarf the gaps between distances."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 64))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 37.0, 1e4]))
+    offset = draw(st.sampled_from([0.0, 1e4])) if scale == 1e-3 else 0.0
+    top = draw(st.integers(1, 4))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    grid = np.floor(rng.uniforms(n * dim) * (2 * top + 1)) - top
+    keys = (offset + scale * grid).reshape(n, dim).astype(np.float32)
+    keys[rng.uniforms(n) < 0.2] = keys[0]  # duplicate rows tie exactly
+    shift = np.array([0.0, 1.0 / 3.0, -0.1, 0.7])[np.floor(rng.uniforms(dim) * 4).astype(int)]
+    q = keys[np.floor(rng.uniforms(dim) * n).astype(int), np.arange(dim)] + scale * shift
+    store = RepresentationStore(keys, np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
+    return store, q, draw(st.integers(1, n + 2))
+
+
 class TestSearchMatchesHeapScan:
     @given(search_cases())
     @settings(max_examples=400, deadline=None)
     def test_indices_and_distance_bits_equal(self, case):
         store, q, k = case
         assert _bits(query(store, q, k)) == _bits(heap_query(store, q, k))
+
+    @given(l2_scale_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_float32_scan_at_every_scale(self, case):
+        store, q, k = case
+        assert _bits(query(store, q, k)) == _bits(heap_query(store, q, k))
+
+    def test_f32_ceiling_rounds_to_no_less(self):
+        rng = Rng(30)
+        values = [0.0, -0.0, 1.0 + 2.0**-30, -1.0 - 2.0**-30, 2.0**-149, 3e-45, -3e-45,
+                  1e-40, float(np.finfo(np.float32).tiny) * 1.1, 2.0**121 * (1.0 + 2.0**-30)]
+        values += (rng.normals(2000) * 10.0 ** np.floor(rng.uniforms(2000) * 80 - 44)).tolist()
+        for b in values:
+            assert float(np.float32(_f32_ceiling(b))) >= b
+            assert np.flatnonzero(np.array([b], np.float32) <= _f32_ceiling(b)).size == 1
+
+    @pytest.mark.parametrize("key_scale, q_scale", [(1e30, 1.0), (1.0, 1e30)])
+    def test_out_of_float32_range_ranks_every_key(self, key_scale, q_scale):
+        keys = Rng(26).normals(50 * 4).reshape(50, 4) * key_scale
+        store = RepresentationStore(keys, np.zeros(50, np.uint32), StoreMetric.L2, 1, 0)
+        q = Rng(27).normals(4) * q_scale
+        assert _bits(query(store, q, 5)) == _bits(heap_query(store, q, 5))
 
     @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
     def test_all_rows_equal_returns_lowest_indices(self, metric):
@@ -245,7 +289,7 @@ class TestSearchMatchesHeapScan:
         grid = np.array([rng.bounded(4) for _ in range(n * dim)], dtype=np.float64)
         keys = 1e4 + step * grid.reshape(n, dim)
         store = RepresentationStore(keys, np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
-        kf = store.keys
+        kf = store.keys.astype(np.float64)
         wrong = 0
         for _ in range(20):
             q = 1e4 + step * (rng.uniforms(dim) * 3.0)
@@ -263,6 +307,32 @@ class TestSearchMatchesHeapScan:
                                     metric, 3, 0)
         q = rows.keys[5] if metric == StoreMetric.KL else Rng(25).normals(40)
         assert _bits(query(store, q, 9)) == _bits(heap_query(rows, q, 9))
+
+    def test_tanh_range_store_reranks_fewer_than_2k_keys(self):
+        """A bound that degrades to a full rerank stays exact but is slow."""
+        rng = Rng(28)
+        n, dim, k = 2000, 64, 16
+        store = RepresentationStore(np.tanh(rng.normals(n * dim).reshape(n, dim)),
+                                    np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
+        queries = np.tanh(rng.normals(30 * dim).reshape(30, dim))
+        for q in list(queries) + [store.keys[i].astype(np.float64) for i in range(10)]:
+            assert _l2_candidates(store, q, k).size < 2 * k
+
+    @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
+    def test_keys_are_held_once_as_float32(self, metric):
+        store = random_store(Rng(29), 300, 12, 3, metric)
+        q = store.keys[4].astype(np.float64)
+        query(store, q, 5)
+        store.distances(q)
+        assert store.keys.dtype == np.float32
+        held = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
+        held += [a for v in vars(store).values() if isinstance(v, tuple) for a in v]
+        wide = store.keys.astype(np.float64)
+        assert not any(a.dtype == np.float64 and a.shape == wide.shape
+                       and np.array_equal(a, wide) for a in held)
+        if metric == StoreMetric.L2:
+            assert all(a.dtype != np.float64 for a in held)
+            assert np.shares_memory(store.keys, store._l2_scan)
 
     def test_l2_query_reranks_without_the_full_distance_scan(self, monkeypatch):
         store = random_store(Rng(22), 500, 6, 3, StoreMetric.L2)
