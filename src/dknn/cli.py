@@ -10,9 +10,10 @@ All randomness flows from --seed: each command derives its working seed as
 ``seed XOR fnv1a64(command-name)`` so different subcommands draw from
 unrelated streams of the same user seed.
 
-Exit codes: 0 success, 2 usage/validation error, 3 inconsistent artifacts
-(e.g. stale store fingerprint), 4 corrupt file. The environment variable
-DKNN_THREADS caps worker parallelism for repeated experiments.
+Exit codes: 0 success, 2 usage/validation error or a file that cannot be
+read or written, 3 inconsistent artifacts (e.g. stale store fingerprint),
+4 corrupt file. The environment variable DKNN_THREADS caps worker
+parallelism for repeated experiments.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .artifacts import write_atomic
-from .exceptions import (
-    ArtifactMismatchError,
-    CorruptArtifactError,
-    DknnError,
-    NonFiniteError,
-    ValidationError,
-)
-from .features import Featurizer, FeaturizerConfig, fit_featurizer, fnv1a64
+from .artifacts import read_artifact, write_atomic
+from .exceptions import ArtifactMismatchError, CorruptArtifactError, DknnError, ValidationError
+from .features import FeaturizerConfig, fit_featurizer, fnv1a64
 from .harness import (
     Dataset,
     ExperimentConfig,
@@ -44,13 +38,16 @@ from .harness import (
     split,
     sweep,
 )
-from .model import (
-    LLConfig,
-    ModelParams,
-    load_checkpoint,
-    save_checkpoint,
+from .model import LLConfig, save_checkpoint
+from .stores import (
+    InferenceConfig,
+    build_stores,
+    iter_predictions,
+    load_bundle,
+    load_store,
+    save_sidecar,
+    save_store,
 )
-from .stores import InferenceConfig, build_stores, iter_predictions, load_store, save_store
 from .trainer import TrainConfig, save_history, train
 
 
@@ -67,18 +64,16 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ValidationError(f"config key {key!r}: cannot parse boolean from {raw!r}")
 
 
-def _read_utf8(path: Path) -> str:
+def _read_utf8(path: Path, what: str) -> str:
     try:
-        return path.read_text("utf-8")
+        return read_artifact(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
+    for lineno, line in enumerate(_read_utf8(path, "config file").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -259,19 +254,14 @@ def _require(cfg: dict, key: str) -> object:
 
 
 def _load_dataset(cfg: dict) -> Dataset:
-    path = Path(str(_require(cfg, "dataset")))
-    if not path.is_file():
-        raise ValidationError(f"dataset file not found: {path}")
-    return load_dataset(path, cfg.get("format"))
+    return load_dataset(str(_require(cfg, "dataset")), cfg.get("format"))
 
 
 def _ll_config(cfg: dict) -> LLConfig:
     on = bool(cfg["ll"])
     kl = cfg["kl"] if cfg.get("kl") is not None else on
     cl = cfg["cl"] if cfg.get("cl") is not None else on
-    ll = LLConfig(rho=float(cfg["rho"]), enable_kl=bool(kl), enable_cl=bool(cl))
-    ll.validate()
-    return ll
+    return LLConfig(rho=float(cfg["rho"]), enable_kl=bool(kl), enable_cl=bool(cl))
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -308,38 +298,6 @@ def _inference_config(cfg: dict) -> InferenceConfig:
     return icfg
 
 
-def _save_featurizer(featurizer: Featurizer, label_names: list[str], path: Path) -> None:
-    doc = {"featurizer": featurizer.to_dict(), "label_names": label_names}
-    write_atomic(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _load_featurizer(path: Path) -> tuple[Featurizer, list[str]]:
-    if not path.is_file():
-        raise ValidationError(f"featurizer file not found: {path}")
-    try:
-        doc = json.loads(path.read_text("utf-8"))
-        return Featurizer.from_dict(doc["featurizer"]), list(doc["label_names"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptArtifactError(f"{path}: invalid featurizer file: {exc}") from exc
-
-
-def _load_model(cfg: dict) -> tuple[Path, ModelParams, Featurizer, list[str]]:
-    """Checkpoint plus its featurizer sidecar (default: next to the
-    checkpoint), checked to agree on the feature dimension."""
-    ckpt_path = Path(str(_require(cfg, "checkpoint")))
-    if not ckpt_path.is_file():
-        raise ValidationError(f"checkpoint not found: {ckpt_path}")
-    params = load_checkpoint(ckpt_path)
-    feat_path = Path(str(cfg["featurizer_file"] or ckpt_path.parent / "featurizer.json"))
-    featurizer, label_names = _load_featurizer(feat_path)
-    if featurizer.dim != params.feature_dim:
-        raise ArtifactMismatchError(
-            f"featurizer dim {featurizer.dim} != checkpoint feature dim "
-            f"{params.feature_dim}"
-        )
-    return ckpt_path, params, featurizer, label_names
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -363,7 +321,7 @@ def _cmd_train(cfg: dict) -> int:
     params, history = train(train_set, dev_set, featurizer, tcfg)
     save_checkpoint(params, out_dir / "checkpoint.dknm")
     save_history(history, out_dir / "history.jsonl")
-    _save_featurizer(featurizer, dataset.label_names, out_dir / "featurizer.json")
+    save_sidecar(featurizer, dataset.label_names, out_dir / "featurizer.json")
     final = history[-1] if history else None
     if final is not None:
         acc = "n/a" if final.dev_accuracy is None else f"{final.dev_accuracy:.4f}"
@@ -377,13 +335,15 @@ def _cmd_train(cfg: dict) -> int:
 def _cmd_build_store(cfg: dict) -> int:
     out_dir = Path(str(_require(cfg, "out")))
     dataset = _load_dataset(cfg)
-    _, params, featurizer, _names = _load_model(cfg)
-    if dataset.num_labels > params.n_classes:
-        raise ArtifactMismatchError(
-            f"dataset has {dataset.num_labels} labels, model only {params.n_classes}"
-        )
+    bundle = load_bundle(str(_require(cfg, "checkpoint")), cfg["featurizer_file"])
+    unknown = set(dataset.label_names) - set(bundle.label_names)
+    if unknown:
+        raise ArtifactMismatchError(f"dataset labels {sorted(unknown)} are not model classes")
+    # a dataset numbers its labels by first occurrence, the model by its class order
+    class_of = [bundle.label_names.index(name) for name in dataset.label_names]
+    dataset = Dataset(dataset.texts, [class_of[y] for y in dataset.labels], bundle.label_names)
     _echo_config(cfg, out_dir)
-    s_text, s_pro = build_stores(params, featurizer, dataset)
+    s_text, s_pro = build_stores(bundle.params, bundle.featurizer, dataset)
     save_store(s_text, out_dir / "store_text.dkns")
     save_store(s_pro, out_dir / "store_pro.dkns")
     print(f"wrote {out_dir / 'store_text.dkns'} and {out_dir / 'store_pro.dkns'} (N={s_text.n})")
@@ -391,20 +351,11 @@ def _cmd_build_store(cfg: dict) -> int:
 
 
 def _breakdown_json(text: str, breakdown, label_names: list[str], explain: bool) -> str:
-    def listify(arr):
-        return None if arr is None else [float(v) for v in arr]
-
-    doc = {"text": text, "label": breakdown.label}
-    if breakdown.label < len(label_names):
-        doc["label_name"] = label_names[breakdown.label]
-    doc["p_model"] = listify(breakdown.p_model)
-    if breakdown.p_text_sharp is not None:
-        doc["p_text_sharp"] = listify(breakdown.p_text_sharp)
-    if breakdown.p_pro_sharp is not None:
-        doc["p_pro_sharp"] = listify(breakdown.p_pro_sharp)
-    if breakdown.p_knn is not None:
-        doc["p_knn"] = listify(breakdown.p_knn)
-    doc["p_final"] = listify(breakdown.p_final)
+    doc = {"text": text, "label": breakdown.label, "label_name": label_names[breakdown.label]}
+    for key in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
+        p = getattr(breakdown, key)  # None for a disabled kNN module
+        if p is not None:
+            doc[key] = [float(v) for v in p]
     if explain:
         doc["neighbors"] = {
             name: [[nb.index, nb.distance, nb.label] for nb in nbs]
@@ -416,41 +367,29 @@ def _breakdown_json(text: str, breakdown, label_names: list[str], explain: bool)
 
 
 def _cmd_predict(cfg: dict) -> int:
-    ckpt_path, params, featurizer, label_names = _load_model(cfg)
     icfg = _inference_config(cfg)
-
-    text_store = pro_store = None
-    if icfg.use_text_knn:
-        store_path = Path(str(cfg["text_store"] or ckpt_path.parent / "store_text.dkns"))
-        if not store_path.is_file():
-            raise ValidationError(f"text store not found: {store_path}")
-        text_store = load_store(store_path)
-    if icfg.use_pro_knn:
-        store_path = Path(str(cfg["pro_store"] or ckpt_path.parent / "store_pro.dkns"))
-        if not store_path.is_file():
-            raise ValidationError(f"pro store not found: {store_path}")
-        pro_store = load_store(store_path)
+    bundle = load_bundle(str(_require(cfg, "checkpoint")), cfg["featurizer_file"],
+                         cfg["text_store"], cfg["pro_store"], icfg)
 
     if cfg.get("text") is not None:
         texts = [str(cfg["text"])]
     elif cfg.get("file"):
-        input_path = Path(str(cfg["file"]))
-        if not input_path.is_file():
-            raise ValidationError(f"input file not found: {input_path}")
-        texts = [ln for ln in _read_utf8(input_path).splitlines() if ln.strip()]
+        lines = _read_utf8(Path(str(cfg["file"])), "input file").splitlines()
+        texts = [ln for ln in lines if ln.strip()]
     else:
         raise ValidationError("predict needs --text or --file")
 
-    breakdowns = iter_predictions(texts, params, featurizer, text_store, pro_store, icfg)
+    breakdowns = iter_predictions(texts, bundle.params, bundle.featurizer, bundle.text_store,
+                                  bundle.pro_store, icfg, bundle.fingerprint)
     for text, breakdown in zip(texts, breakdowns):
-        print(_breakdown_json(text, breakdown, label_names, bool(cfg["explain"])))
+        print(_breakdown_json(text, breakdown, bundle.label_names, bool(cfg["explain"])))
     return 0
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     dataset = _load_dataset(cfg)
     seed = _sub_seed(int(cfg["seed"]), "experiment")
-    ecfg = ExperimentConfig(
+    return ExperimentConfig(  # checked by the harness before it runs
         dataset=dataset,
         seed=seed,
         repeats=int(cfg["repeats"]),
@@ -461,8 +400,6 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         noise_ratio=float(cfg["noise_ratio"]),
         noise_test=bool(cfg["noise_test"]),
     )
-    ecfg.validate()
-    return ecfg
 
 
 def _finish_report(report, cfg: dict) -> int:
@@ -484,27 +421,17 @@ def _cmd_ablate(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    param = str(_require(cfg, "param"))
-    values = cfg.get("values")
-    if not values:
-        raise ValidationError("missing required option --values")
-    return _finish_report(sweep(_experiment_config(cfg), param, list(values)), cfg)
+    param, values = str(_require(cfg, "param")), list(_require(cfg, "values"))
+    return _finish_report(sweep(_experiment_config(cfg), param, values), cfg)
 
 
 def _cmd_noise(cfg: dict) -> int:
-    ratios = cfg.get("ratios")
-    if not ratios:
-        raise ValidationError("missing required option --ratios")
-    return _finish_report(
-        sweep(_experiment_config(cfg), "noise_ratio", list(ratios)), cfg
-    )
+    ratios = list(_require(cfg, "ratios"))
+    return _finish_report(sweep(_experiment_config(cfg), "noise_ratio", ratios), cfg)
 
 
 def _cmd_export_store(cfg: dict) -> int:
-    store_path = Path(str(_require(cfg, "store")))
-    if not store_path.is_file():
-        raise ValidationError(f"store file not found: {store_path}")
-    store = load_store(store_path)
+    store = load_store(str(_require(cfg, "store")))
     out = cfg.get("out")
     lines = ["\t".join(["label"] + [f"k{i}" for i in range(store.dim)])]
     for i in range(store.n):
@@ -561,23 +488,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {ArtifactMismatchError: 3, CorruptArtifactError: 4}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _effective(args.command, args)
         return _HANDLERS[args.command](cfg)
-    except (ValidationError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArtifactMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CorruptArtifactError as exc:
-        print(f"error: corrupt store or checkpoint: {exc}", file=sys.stderr)
-        return 4
     except DknnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), 2)
+    except OSError as exc:
+        # an unwritable output or unreadable input; write_atomic names its target
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

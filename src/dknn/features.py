@@ -173,12 +173,15 @@ class Featurizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Featurizer":
-        cfg = FeaturizerConfig(
-            mode=d["mode"], dim=int(d["dim"]), lowercase=bool(d["lowercase"])
-        )
+        fields = d["mode"], d["dim"], d["lowercase"]
+        if tuple(map(type, fields)) != (str, int, bool):
+            raise ValidationError("featurizer mode, dim, lowercase must be str, int, bool")
+        cfg = FeaturizerConfig(*fields)
         cfg.validate()
         if cfg.mode == "tfidf":
             tokens = d["vocabulary"]
+            if type(tokens) is not list or not all(type(tok) is str for tok in tokens):
+                raise ValidationError("tfidf vocabulary must be a list of strings")
             vocab = {tok: i for i, tok in enumerate(tokens)}
             idf = np.asarray(d["idf"], dtype=np.float64)
             if len(vocab) != len(tokens):

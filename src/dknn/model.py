@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import read_artifact, write_atomic
 from .exceptions import CorruptArtifactError, ValidationError
 from .mathcore import CE_EPS, KL_EPS, softmax_rows
 
@@ -383,9 +383,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    return params_from_bytes(blob, source=str(path))
+    return params_from_bytes(read_artifact(path, "checkpoint"), source=str(path))
 
 
 def params_from_bytes(blob: bytes, source: str = "<bytes>") -> ModelParams:

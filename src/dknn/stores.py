@@ -16,19 +16,21 @@ u64 model fingerprint | N*dim f32 keys row-major | N u32 labels.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import read_artifact, write_atomic
 from .exceptions import ArtifactMismatchError, CorruptArtifactError, ValidationError
 from .features import Featurizer
 from .mathcore import KL_EPS, is_distribution, sharpen
-from .model import ModelParams, forward_batch, model_fingerprint
+from .model import ModelParams, forward_batch, load_checkpoint, model_fingerprint
 
 STORE_MAGIC = b"DKNS"
 STORE_VERSION = 1
@@ -120,7 +122,7 @@ class RepresentationStore:
             )
         if metric == StoreMetric.KL and keys.shape[0]:
             sums = keys.sum(axis=1, dtype=np.float64)
-            if np.abs(sums - 1.0).max() > 1e-6:
+            if keys.min() < 0.0 or np.abs(sums - 1.0).max() > 1e-6:
                 raise ValidationError("KL store keys must be probability rows")
         self._l2_scan: np.ndarray | None = None
         self._sq_max = 0.0
@@ -482,7 +484,9 @@ def _require_store(
     if store is None:
         raise ValidationError(f"{name}-kNN is enabled but no {name} store was given")
     if store.metric != metric:
-        raise ValidationError(f"{name} store has metric {store.metric!r}")
+        raise ArtifactMismatchError(
+            f"{name} store has metric {store.metric.name}, expected {metric.name}"
+        )
     if store.n_classes != params.n_classes:
         raise ArtifactMismatchError(
             f"{name} store was built for {store.n_classes} classes, "
@@ -519,8 +523,7 @@ def save_store(store: RepresentationStore, path) -> None:
 
 
 def load_store(path) -> RepresentationStore:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_artifact(path, "store")
     if len(blob) < _HEADER.size:
         raise CorruptArtifactError(f"{path}: truncated store header")
     magic, version, metric, dim, n, c, fingerprint = _HEADER.unpack_from(blob)
@@ -541,3 +544,57 @@ def load_store(path) -> RepresentationStore:
         return RepresentationStore(keys, labels, StoreMetric(metric), c, fingerprint)
     except ValidationError as exc:
         raise CorruptArtifactError(f"{path}: {exc}") from exc
+
+
+def save_sidecar(featurizer: Featurizer, label_names: list[str], path) -> None:
+    """Write ``featurizer.json``: the featurizer and the model's class names,
+    in class order."""
+    doc = {"featurizer": featurizer.to_dict(), "label_names": label_names}
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
+@dataclass
+class Bundle:
+    """A checkpoint and its artifacts; ``fingerprint`` is None if no store was loaded."""
+
+    params: ModelParams
+    featurizer: Featurizer
+    label_names: list[str]
+    fingerprint: int | None
+    text_store: RepresentationStore | None
+    pro_store: RepresentationStore | None
+
+
+def load_bundle(checkpoint, featurizer_file=None, text_store=None, pro_store=None,
+                cfg: InferenceConfig | None = None) -> Bundle:
+    """A checkpoint, its ``featurizer.json`` and the stores ``cfg`` enables,
+    each by default from the checkpoint's directory. Raises ValidationError
+    for a missing file, CorruptArtifactError for a malformed one and
+    ArtifactMismatchError for files that do not belong together; whether the
+    stores were built by this checkpoint is checked by ``iter_predictions``."""
+    directory = Path(checkpoint).parent
+    params = load_checkpoint(checkpoint)
+    sidecar = featurizer_file or directory / "featurizer.json"
+    blob = read_artifact(sidecar, "featurizer file")  # missing: not corrupt
+    try:
+        doc = json.loads(blob)
+        featurizer = Featurizer.from_dict(doc["featurizer"])
+        names = doc["label_names"]
+        if (type(names) is not list or not all(type(name) is str for name in names)
+                or len(set(names)) != len(names)):
+            raise ValidationError("label_names must be a list of distinct strings")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptArtifactError(f"{sidecar}: invalid featurizer file: {exc}") from exc
+    if featurizer.dim != params.feature_dim:
+        raise ArtifactMismatchError(
+            f"featurizer dim {featurizer.dim} != checkpoint feature dim {params.feature_dim}")
+    if len(names) != params.n_classes:
+        raise ArtifactMismatchError(
+            f"featurizer file has {len(names)} label names for {params.n_classes} classes")
+    use_text = cfg is not None and cfg.use_text_knn
+    use_pro = cfg is not None and cfg.use_pro_knn
+    return Bundle(
+        params, featurizer, names, model_fingerprint(params) if use_text or use_pro else None,
+        load_store(text_store or directory / "store_text.dkns") if use_text else None,
+        load_store(pro_store or directory / "store_pro.dkns") if use_pro else None,
+    )

@@ -12,7 +12,7 @@ from dknn import artifacts, cli
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import ExperimentReport, ReportRow
 from dknn.model import ModelParams, save_checkpoint
-from dknn.stores import RepresentationStore, StoreMetric, save_store
+from dknn.stores import RepresentationStore, StoreMetric, save_sidecar, save_store
 from dknn.trainer import EpochRecord, save_history
 
 
@@ -42,7 +42,7 @@ SAVERS = {
     "checkpoint.dknm": lambda path, v: save_checkpoint(_params(v), path),
     "store.dkns": lambda path, v: save_store(_store(v), path),
     "history.jsonl": lambda path, v: save_history(_history(v), path),
-    "featurizer.json": lambda path, v: cli._save_featurizer(
+    "featurizer.json": lambda path, v: save_sidecar(
         fit_featurizer([], FeaturizerConfig(dim=16)), [f"label {v}"], path),
     "effective_config.txt": lambda path, v: cli._echo_config({"v": v}, path.parent),
     "report.json": lambda path, v: _report(v).save(path.parent),

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dknn
 from dknn import cli
@@ -94,6 +98,31 @@ class TestBuildStore:
         ]) == 0
         for name in ("store_text.dkns", "store_pro.dkns"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_reordered_dataset_keeps_the_model_class_ids(self, workspace, tmp_path):
+        """Labels map to class ids by name, not by first occurrence in the
+        dataset file, so a store built from the rows in reverse holds the
+        same label on every row."""
+        root, data, out = workspace
+        reversed_data = tmp_path / "reversed.jsonl"
+        reversed_data.write_text("".join(reversed(data.read_text().splitlines(True))))
+        assert main(["build-store", "--checkpoint", str(out / "checkpoint.dknm"),
+                     "--dataset", str(reversed_data), "--out", str(tmp_path)]) == 0
+        for name in ("store_text.dkns", "store_pro.dkns"):
+            original, rebuilt = load_store(out / name), load_store(tmp_path / name)
+            assert np.array_equal(rebuilt.labels[::-1], original.labels)
+            assert np.array_equal(rebuilt.keys[::-1], original.keys)
+
+    def test_label_the_model_does_not_know_exit_3(self, workspace, tmp_path):
+        root, data, out = workspace
+        extra = tmp_path / "extra.jsonl"
+        record = {"text": "g0w1", "label": "new", "coarse": "g0"}
+        extra.write_text(data.read_text() + json.dumps(record) + "\n")
+        line = _run_expecting_one_error_line(
+            ["build-store", "--checkpoint", str(out / "checkpoint.dknm"),
+             "--dataset", str(extra), "--out", str(tmp_path / "run")], 3)
+        assert "'new'" in line
+        assert not (tmp_path / "run").exists()
 
 
 class TestPredict:
@@ -296,6 +325,56 @@ def _idf_negative(out, tmp_path):
     return _tfidf_featurizer(out, tmp_path, lambda width: [-1.0] * width)
 
 
+def _idf_huge_int(out, tmp_path):
+    return _tfidf_featurizer(out, tmp_path, lambda width: [10**400] * width)
+
+
+def _edited_featurizer(out, tmp_path, edit):
+    """featurizer.json after ``edit(doc)``."""
+    doc = json.loads((out / "featurizer.json").read_text())
+    edit(doc)
+    path = tmp_path / "featurizer.json"
+    path.write_text(json.dumps(doc))
+    return ["--featurizer-file", str(path)]
+
+
+def _featurizer_dim_overflow(out, tmp_path):
+    text = (out / "featurizer.json").read_text()
+    path = tmp_path / "featurizer.json"
+    path.write_text(text.replace('"dim": 256', '"dim": 1e400'))
+    return ["--featurizer-file", str(path)]
+
+
+def _label_names_string(out, tmp_path):
+    # as many characters as the model has classes
+    return _edited_featurizer(out, tmp_path, lambda doc: doc.update(label_names="abcd"))
+
+
+def _label_names_duplicate(out, tmp_path):
+    def edit(doc):
+        doc["label_names"][1] = doc["label_names"][0]
+    return _edited_featurizer(out, tmp_path, edit)
+
+
+def _label_names_count(out, tmp_path):
+    return _edited_featurizer(out, tmp_path, lambda doc: doc["label_names"].append("extra"))
+
+
+def _vocabulary_not_strings(out, tmp_path):
+    def edit(doc):
+        width = doc["featurizer"]["dim"]
+        doc["featurizer"].update(mode="tfidf", vocabulary=list(range(width)), idf=[1.0] * width)
+    return _edited_featurizer(out, tmp_path, edit)
+
+
+def _lowercase_not_bool(out, tmp_path):
+    return _edited_featurizer(out, tmp_path, lambda doc: doc["featurizer"].update(lowercase="no"))
+
+
+def _swapped_store(out, tmp_path):
+    return ["--text-store", str(out / "store_pro.dkns")]
+
+
 def _store_nan_key(out, tmp_path):
     blob = bytearray((out / "store_text.dkns").read_bytes())
     blob[27:31] = struct.pack("<f", float("nan"))  # first entry of the first key
@@ -314,10 +393,21 @@ def _store_nan_key(out, tmp_path):
         (_idf_truncated, 4),
         (_idf_nan, 4),
         (_idf_negative, 4),
+        (_idf_huge_int, 4),
         (_store_nan_key, 4),
+        (_featurizer_dim_overflow, 4),
+        (_label_names_string, 4),
+        (_label_names_duplicate, 4),
+        (_label_names_count, 3),
+        (_vocabulary_not_strings, 4),
+        (_lowercase_not_bool, 4),
+        (_swapped_store, 3),
     ],
     ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
-         "idf-truncated", "idf-nan", "idf-negative", "store-nan-key"],
+         "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
+         "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
+         "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
+         "swapped-store"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace
@@ -383,6 +473,52 @@ def test_sweep_k_must_be_a_whole_number(workspace, tmp_path, value):
     assert not (tmp_path / "sweep" / "report.json").exists()
 
 
+@pytest.mark.parametrize("case", ["build-store-out-under-file", "export-store-out-missing-dir"])
+def test_unwritable_output_path_exits_2(workspace, tmp_path, case):
+    root, data, out = workspace
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if case == "build-store-out-under-file":
+        target = blocker / "run"
+        argv = ["build-store", "--checkpoint", str(out / "checkpoint.dknm"),
+                "--dataset", str(data), "--out", str(target)]
+    else:
+        target = tmp_path / "missing" / "store.tsv"
+        argv = ["export-store", "--store", str(out / "store_text.dkns"), "--out", str(target)]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert str(target) in line and ".tmp" not in line
+
+
+FUZZED = {"checkpoint.dknm": "--checkpoint", "featurizer.json": "--featurizer-file",
+          "store_text.dkns": "--text-store", "store_pro.dkns": "--pro-store"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(FUZZED)), truncate=st.booleans(), data=st.data())
+def test_flipped_or_truncated_artifact_exits_0_3_or_4(workspace, name, truncate, data):
+    """One bit flipped in, or the tail cut off, a real artifact: predict
+    still answers, or exits 3 or 4, and raises nothing."""
+    root, _, out = workspace
+    blob = bytearray((out / name).read_bytes())
+    if truncate:
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # headers are small, so half the flips land in the first 64 bytes
+        bit = data.draw(st.one_of(st.integers(0, 8 * 64 - 1),
+                                  st.integers(0, 8 * len(blob) - 1)), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    fuzzed = root / "fuzz" / name
+    fuzzed.parent.mkdir(exist_ok=True)
+    fuzzed.write_bytes(bytes(blob))
+    argv = ["predict", "--text", "g0w1 g0w2 l0w3", "--explain"]
+    for artifact, flag in FUZZED.items():
+        argv += [flag, str(fuzzed if artifact == name else out / artifact)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 3, 4), err.getvalue()
+
+
 def _run_expecting_one_error_line(argv: list[str], code: int) -> str:
     """Run ``dknn`` in a subprocess; it must exit ``code`` with exactly one
     ``error:`` line on stderr and no traceback. Returns that line."""
@@ -417,7 +553,7 @@ class TestExportStore:
         bad.write_bytes((out / "store_text.dkns").read_bytes()[:-7])
         rc = main(["export-store", "--store", str(bad)])
         assert rc == 4
-        assert "corrupt" in capsys.readouterr().err.lower()
+        assert f"error: {bad}: size" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

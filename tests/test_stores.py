@@ -162,6 +162,13 @@ class TestQuery:
         with pytest.raises(ValidationError):
             RepresentationStore(keys, np.zeros(2, np.uint32), StoreMetric.KL, 2, 0)
 
+    def test_kl_store_rejects_negative_keys(self):
+        """A row that sums to 1 within the tolerance but holds a negative
+        entry would take the log of a negative number after smoothing."""
+        keys = np.array([[-1e-7, 1.0 + 1e-7]], dtype=np.float32)
+        with pytest.raises(ValidationError, match="probability rows"):
+            RepresentationStore(keys, np.zeros(1, np.uint32), StoreMetric.KL, 2, 0)
+
     @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_keys_rejected(self, metric, bad):
