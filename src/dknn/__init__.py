@@ -29,6 +29,7 @@ from .harness import (
 )
 from .mathcore import is_distribution, sharpen, softmax
 from .model import (
+    Gradients,
     LLConfig,
     LossBreakdown,
     ModelParams,

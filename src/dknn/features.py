@@ -49,6 +49,23 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     return [tok for tok in (_token(raw, lowercase) for raw in text.split()) if tok]
 
 
+def take_rows(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(row_ptr, cols, vals)`` of the rows ``idx`` of ``rows``, in that
+    order, with the new row_ptr starting at 0."""
+    row_ptr, cols, vals = rows
+    idx = np.asarray(idx)
+    starts = row_ptr[idx]
+    lengths = row_ptr[idx + 1] - starts
+    new_ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_ptr[1:])
+    # storage position of every entry of the selected rows, row by row
+    pos = np.repeat(starts - new_ptr[:-1], lengths)
+    pos += np.arange(len(pos))
+    return new_ptr, cols[pos], vals[pos]
+
+
 def densify(
     rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     dim: int,
@@ -56,16 +73,11 @@ def densify(
 ) -> np.ndarray:
     """Dense float64 block of the CSR rows ``idx`` (default: all), in that
     order: ``densify(rows, dim, idx)`` equals ``densify(rows, dim)[idx]``."""
-    row_ptr, cols, vals = rows
     if idx is None:
-        idx = np.arange(len(row_ptr) - 1)
-    starts = row_ptr[idx]
-    lengths = row_ptr[np.asarray(idx) + 1] - starts
-    # storage position of every entry of the selected rows, row by row
-    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    pos += np.arange(len(pos))
-    out = np.zeros((len(starts), dim), dtype=np.float64)
-    out[np.repeat(np.arange(len(starts)), lengths), cols[pos]] = vals[pos]
+        idx = np.arange(len(rows[0]) - 1)
+    row_ptr, cols, vals = take_rows(rows, idx)
+    out = np.zeros((len(row_ptr) - 1, dim), dtype=np.float64)
+    out[np.repeat(np.arange(len(out)), np.diff(row_ptr)), cols] = vals
     return out
 
 

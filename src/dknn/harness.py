@@ -22,7 +22,7 @@ from statistics import stdev
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import read_artifact, write_atomic
 from .exceptions import ValidationError
 from .features import Featurizer, FeaturizerConfig, fit_featurizer, fnv1a64
 from .model import LLConfig, ModelParams, model_fingerprint
@@ -89,50 +89,49 @@ class Dataset:
 # loading
 
 
-def _read_records(path: Path, fmt: str) -> list[tuple[str, str, str | None]]:
-    """(text, label, coarse or None) per record of a JSONL or CSV file."""
+def _read_records(path: Path, raw: io.BytesIO, fmt: str) -> list[tuple[str, str, str | None]]:
+    """(text, label, coarse or None) per record of a JSONL or CSV file's
+    bytes, decoded and split into lines as ``open`` would do it."""
     records: list[tuple[str, str, str | None]] = []
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                    raise ValidationError(
-                        f"{path}:{lineno}: record must have 'text' and 'label'"
-                    )
-                coarse = obj.get("coarse")
-                records.append((str(obj["text"]), str(obj["label"]),
-                                None if coarse is None else str(coarse)))
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        for lineno, line in enumerate(io.TextIOWrapper(raw, encoding="utf-8"), start=1):
+            if not line.strip():
+                continue
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty file") from None
-            cols = [h.strip() for h in header]
-            if cols[:2] != ["text", "label"] or (
-                len(cols) > 2 and cols[2] != "coarse"
-            ) or len(cols) > 3:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
                 raise ValidationError(
-                    f"{path}:1: header must be text,label[,coarse], got {header}"
+                    f"{path}:{lineno}: record must have 'text' and 'label'"
                 )
-            has_coarse = len(cols) == 3
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(cols):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}"
-                    )
-                records.append(
-                    (row[0], row[1], row[2] if has_coarse else None)
+            coarse = obj.get("coarse")
+            records.append((str(obj["text"]), str(obj["label"]),
+                            None if coarse is None else str(coarse)))
+    else:
+        reader = csv.reader(io.TextIOWrapper(raw, encoding="utf-8", newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        cols = [h.strip() for h in header]
+        if cols[:2] != ["text", "label"] or (
+            len(cols) > 2 and cols[2] != "coarse"
+        ) or len(cols) > 3:
+            raise ValidationError(
+                f"{path}:1: header must be text,label[,coarse], got {header}"
+            )
+        has_coarse = len(cols) == 3
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(cols):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}"
                 )
+            records.append(
+                (row[0], row[1], row[2] if has_coarse else None)
+            )
     return records
 
 
@@ -144,15 +143,14 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
     must map to the same coarse value everywhere.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"dataset file not found: {path}")
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValidationError(f"unknown dataset format {fmt!r}")
 
+    raw = io.BytesIO(read_artifact(path, "dataset"))
     try:
-        records = _read_records(path, fmt)
+        records = _read_records(path, raw, fmt)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
     if not records:
@@ -204,30 +202,30 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path, fmt: str | None = None) -> None:
+    """Write JSONL or CSV (by ``fmt``, else by suffix) through write_atomic,
+    so a failed write leaves any old file as it was."""
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    rows = []
+    if fmt not in ("jsonl", "csv"):
+        raise ValidationError(f"unknown dataset format {fmt!r}")
+    cols = ["text", "label"] + (["coarse"] if dataset.coarse_of_label is not None else [])
+    # encoded as it is written, so only the file's bytes are held at once
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    writer = csv.writer(out)
+    if fmt == "csv":
+        writer.writerow(cols)
     for text, lab in zip(dataset.texts, dataset.labels):
         row = {"text": text, "label": dataset.label_names[lab]}
         if dataset.coarse_of_label is not None:
             row["coarse"] = dataset.coarse_names[dataset.coarse_of_label[lab]]
-        rows.append(row)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-    elif fmt == "csv":
-        cols = ["text", "label"] + (
-            ["coarse"] if dataset.coarse_of_label is not None else []
-        )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([row[col] for col in cols])
-    else:
-        raise ValidationError(f"unknown dataset format {fmt!r}")
+        if fmt == "jsonl":
+            out.write(json.dumps(row) + "\n")
+        else:
+            writer.writerow([row[col] for col in cols])
+    out.flush()
+    write_atomic(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,15 @@ per-example soft targets and a margin contrastive loss:
 
 total = ce + kl + cl. The gradient of every parameter is analytic (hand
 backprop); finite differences are only used as a test oracle.
+
+Both passes take feature rows in CSR form. A training step
+(batch_loss_and_gradients) works over the batch's live columns: the L
+distinct columns its rows use, against F in all. It multiplies the dense
+(B, L) block of the rows by those L rows of W1 and returns dW1 as the same
+L rows, so its cost follows L, not F. The inference forward (forward_batch)
+reduces each row over its own entries in blocks of FORWARD_BLOCK rows, so a
+row's bits never depend on the rest of its batch. The dense first form of
+the step is kept in ``tests/oracles.py`` as a reference.
 """
 
 from __future__ import annotations
@@ -104,6 +113,39 @@ class LossBreakdown:
     active_hinge_fraction: float = 0.0
 
 
+@dataclass
+class Gradients:
+    """Gradients of one training step, named as the ModelParams tensors.
+
+    dL/dW1 is kept by rows: ``w1`` holds rows ``w1_rows`` of it (the batch's
+    live feature columns, ascending), and every other row is exactly +0.0.
+    The other tensors are whole."""
+
+    w1_rows: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    label_emb: np.ndarray
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The stored arrays in ModelParams order; w1 is the (L, d) row block."""
+        return {
+            "w1": self.w1,
+            "b1": self.b1,
+            "w2": self.w2,
+            "b2": self.b2,
+            "label_emb": self.label_emb,
+        }
+
+    def dense(self, feature_dim: int) -> ModelParams:
+        """Every gradient as a whole tensor, w1 scattered into (F, d) zeros."""
+        w1 = np.zeros((feature_dim, self.w1.shape[1]))
+        w1[self.w1_rows] = self.w1
+        return ModelParams(w1=w1, b1=self.b1, w2=self.w2, b2=self.b2,
+                           label_emb=self.label_emb)
+
+
 # ---------------------------------------------------------------------------
 # forward operations
 
@@ -162,14 +204,19 @@ def forward_batch(
     return h, p
 
 
+def _one_row(x: np.ndarray, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One dense feature vector as a 1-row CSR batch of its nonzero entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (feature_dim,):
+        raise ValueError(f"expected feature vector of length {feature_dim}")
+    cols = np.flatnonzero(x)
+    return np.array([0, len(cols)]), cols, x[cols]
+
+
 def encode(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Text embedding h = tanh(x W1 + b1) of one dense feature vector: the
     1-row case of forward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.feature_dim,):
-        raise ValueError(f"expected feature vector of length {params.feature_dim}")
-    cols = np.flatnonzero(x)
-    return _embed_rows(np.array([0, len(cols)]), cols, x[cols], params)[0]
+    return _embed_rows(*_one_row(x, params.feature_dim), params)[0]
 
 
 def classify(h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -191,38 +238,57 @@ def _mirror(m: np.ndarray) -> np.ndarray:
 # loss + analytic gradients (batched core; single-example ops wrap it)
 
 
+def _live_block(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(live, x)`` for CSR rows: the L distinct columns the rows use,
+    ascending, and the dense (B, L) block of the rows over those columns,
+    so ``x`` scattered to columns ``live`` of a (B, F) zero block equals
+    ``features.densify`` of the rows."""
+    row_ptr, cols, vals = rows
+    lo, hi = row_ptr[0], row_ptr[-1]
+    live, at = np.unique(cols[lo:hi], return_inverse=True)
+    x = np.zeros((len(row_ptr) - 1, len(live)))
+    x[np.repeat(np.arange(len(x)), np.diff(row_ptr)), at] = vals[lo:hi]
+    return live, x
+
+
 def batch_loss_and_gradients(
-    x: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
     with_grads: bool = True,
-) -> tuple[LossBreakdown, ModelParams | None]:
-    """Mean loss over a batch and (optionally) its analytic gradients.
+) -> tuple[LossBreakdown, Gradients | None]:
+    """Mean loss over a batch of CSR feature rows ``(row_ptr, cols, vals)``,
+    as forward_batch takes them, and (optionally) its analytic gradients.
 
+    The first layer runs over the batch's L live columns only: z1 is the
+    (B, L) block of the rows times those L rows of W1, and dW1 comes back as
+    those L rows (see Gradients), so no step touches all F x d entries.
     Per-example quantities (alpha, M, q) are computed for every row; the
     batch loss is the arithmetic mean of per-example losses and gradients
     are the matching means.
     """
     cfg.validate()
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != params.feature_dim:
-        raise ValueError("x must be (B, feature_dim)")
+    live, x = _live_block(rows)
+    if len(live) and (live[0] < 0 or live[-1] >= params.feature_dim):
+        raise ValueError(f"feature column outside [0, {params.feature_dim})")
     if y.shape != (x.shape[0],):
-        raise ValueError("y must have one label per row of x")
+        raise ValueError("y must have one label per row")
     c = params.n_classes
     if np.any((y < 0) | (y >= c)):
         raise ValueError("label out of range")
 
     batch = x.shape[0]
-    rows = np.arange(batch)
+    ex = np.arange(batch)  # example index, to pick each row's label entry
     lbl = params.label_emb
 
-    z1 = x @ params.w1 + params.b1
+    z1 = x @ params.w1[live] + params.b1
     h = np.tanh(z1)
     p = softmax_rows(h @ params.w2 + params.b2)
-    py = p[rows, y]
+    py = p[ex, y]
     ce_vec = -np.log(np.maximum(py, CE_EPS))
     ce = float(ce_vec.mean())
 
@@ -237,7 +303,7 @@ def batch_loss_and_gradients(
     kl = 0.0
     if kl_on:
         # row y of M, with the same products as the full (B, c, c) tensor
-        mrow = alpha[rows, y, None] * alpha * gram[y]
+        mrow = alpha[ex, y, None] * alpha * gram[y]
         q = softmax_rows(mrow)
         qs = q + KL_EPS
         sq = qs.sum(axis=1, keepdims=True)
@@ -276,7 +342,7 @@ def batch_loss_and_gradients(
 
     # ----- backward -----
     onehot = np.zeros((batch, c))
-    onehot[rows, y] = 1.0
+    onehot[ex, y] = 1.0
     ce_scale = 1.0 / batch
     ce_live = (py >= CE_EPS)[:, None]  # clamped rows contribute no CE gradient
     dz2 = np.where(ce_live, (p - onehot) * ce_scale, 0.0)
@@ -298,7 +364,7 @@ def batch_loss_and_gradients(
             g_p = (1.0 - qn / pn) / sp * kl_scale
             dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
             g_q = (log_ratio - kl_vec[:, None]) / sq * kl_scale
-            dm[rows, y, :] += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+            dm[ex, y, :] += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
         # With s_ij = (dm_ij + dm_ji) alpha_j per example: dL/dalpha_i is
         # sum_j s_ij gram_ij, and label row i gets sum_j w_ij l_j with
         # w_ij = sum_b alpha_i s_ij. Both take row i of every example at
@@ -314,13 +380,9 @@ def batch_loss_and_gradients(
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)
-    # Only columns present in the batch get a w1 gradient; the rest stay
-    # exactly 0. Each row reduces over the batch, so its bits equal x.T @ dz1.
-    cols = np.flatnonzero(x.any(axis=0))
-    d_w1 = np.zeros_like(params.w1)
-    d_w1[cols] = x[:, cols].T @ dz1
-    grads = ModelParams(
-        w1=d_w1,
+    grads = Gradients(
+        w1_rows=live,
+        w1=x.T @ dz1,
         b1=dz1.sum(axis=0),
         w2=h.T @ dz2,
         b2=dz2.sum(axis=0),
@@ -330,22 +392,19 @@ def batch_loss_and_gradients(
 
 
 def total_loss(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> LossBreakdown:
-    """Loss components for one example; total is their exact fp sum."""
-    x = np.asarray(x, dtype=np.float64)
+    """Loss components for one dense feature vector; total is their exact fp sum."""
     breakdown, _ = batch_loss_and_gradients(
-        x[None, :], np.array([int(y)]), params, cfg, with_grads=False
+        _one_row(x, params.feature_dim), np.array([int(y)]), params, cfg, with_grads=False
     )
     return breakdown
 
 
 def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> ModelParams:
-    """Analytic gradients of total_loss w.r.t. every parameter tensor."""
-    x = np.asarray(x, dtype=np.float64)
+    """Analytic gradients of total_loss w.r.t. every parameter tensor, whole."""
     _, grads = batch_loss_and_gradients(
-        x[None, :], np.array([int(y)]), params, cfg, with_grads=True
+        _one_row(x, params.feature_dim), np.array([int(y)]), params, cfg
     )
-    assert grads is not None
-    return grads
+    return grads.dense(params.feature_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ package's own generator (see rng.py). Initialization draw order is fixed:
 w1 row-major, then w2 row-major, then label_emb row-major, each tensor
 filled by one normals() call; biases start at zero. The shuffle for epoch e
 (0-based) uses a fresh generator seeded with ``seed XOR e``.
+
+The training set stays in CSR form, and each mini-batch goes to the model
+as the CSR of its own rows (features.take_rows), in shuffled order. The
+step works over the batch's live columns (see model.py) and returns
+the w1 gradient as (rows, values). Adam, its finiteness check and the
+per-epoch gradient norms read only those rows, so no step allocates or
+reads an F x d array, except Adam's update of rows that are already live.
 """
 
 from __future__ import annotations
@@ -18,8 +25,14 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .exceptions import NonFiniteError, ValidationError
-from .features import Featurizer, densify
-from .model import LLConfig, ModelParams, batch_loss_and_gradients, forward_batch
+from .features import Featurizer, take_rows
+from .model import (
+    Gradients,
+    LLConfig,
+    ModelParams,
+    batch_loss_and_gradients,
+    forward_batch,
+)
 from .rng import Rng
 
 
@@ -87,14 +100,14 @@ def save_history(history: TrainHistory, path) -> None:
 class AdamState:
     """Adam moments per tensor. ``live`` marks, per 2-D tensor, the rows that
     have ever had a nonzero gradient; a tensor without an entry is all live.
-    ``scratch`` holds two work arrays per tensor, made on first use, so a
-    step allocates no full-size temporaries."""
+    ``scratch`` holds two work arrays per tensor, so a step allocates no
+    full-size temporaries."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
     step: int = 0
     live: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -102,19 +115,22 @@ class AdamState:
         return cls(
             m={k: np.zeros_like(t) for k, t in tensors.items()},
             v={k: np.zeros_like(t) for k, t in tensors.items()},
+            scratch={k: (np.empty_like(t), np.empty_like(t)) for k, t in tensors.items()},
             live={k: np.zeros(len(t), dtype=bool) for k, t in tensors.items() if t.ndim == 2},
         )
 
 
 def adam_step(
-    params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
+    params: ModelParams, grads: Gradients, state: AdamState, config: TrainConfig
 ) -> tuple[ModelParams, AdamState]:
     """Standard bias-corrected Adam update, applied in place to params/state.
 
     Rows that have never had a nonzero gradient are skipped. That is exact:
     their m and v are 0 and their gradient is +-0, so the dense update would
     subtract lr * 0 / (0 + eps) = 0. A row updates every step once it has
-    gone live, so the trajectory is that of dense Adam, bit for bit.
+    gone live, so the trajectory is that of dense Adam, bit for bit. The w1
+    gradient arrives as rows ``grads.w1_rows``; a live row it leaves out
+    gets a +0.0 gradient, as the dense tensor holds there.
     """
     gtensors = grads.tensors()
     for name, grad in gtensors.items():
@@ -129,20 +145,33 @@ def adam_step(
     bc2 = 1.0 - b2**t
     for name, tensor in params.tensors().items():
         g = gtensors[name]
+        g_rows = grads.w1_rows if name == "w1" else None
         m = state.m[name]
         v = state.v[name]
-        scratch = state.scratch.get(name)
-        if scratch is None:
-            scratch = state.scratch[name] = (np.empty_like(m), np.empty_like(m))
+        scratch = state.scratch[name]
         live = state.live.get(name)
         if live is not None and not live.all():
-            live |= g.any(axis=1)
+            went_live = g.any(axis=1)
+            live[went_live if g_rows is None else g_rows[went_live]] = True
             rows = np.flatnonzero(live)
+            if g_rows is None:
+                g_live = g[rows]
+            else:
+                # A given row that is still dead is all +-0 and has no slot
+                # in `rows`: searchsorted would point it at the next live
+                # row's slot, or past the end.
+                keep = live[g_rows]
+                g_live = np.zeros((len(rows), g.shape[1]))
+                g_live[np.searchsorted(rows, g_rows[keep])] = g[keep]
             tensor_r, m_r, v_r = tensor[rows], m[rows], v[rows]
             num, den = (s[: len(rows)] for s in scratch)
-            _adam_update(tensor_r, g[rows], m_r, v_r, bc1, bc2, config, num, den)
+            _adam_update(tensor_r, g_live, m_r, v_r, bc1, bc2, config, num, den)
             tensor[rows], m[rows], v[rows] = tensor_r, m_r, v_r
         else:
+            if g_rows is not None:  # every row is live: the whole gradient
+                g_whole = np.zeros_like(tensor)
+                g_whole[g_rows] = g
+                g = g_whole
             _adam_update(tensor, g, m, v, bc1, bc2, config, *scratch)
     return params, state
 
@@ -215,7 +244,6 @@ def train(
     if n_classes < 1:
         raise ValidationError("label vocabulary is empty")
 
-    # CSR rows; each mini-batch is densified on its own (see features.densify)
     rows = featurizer.transform_rows(train_set.texts)
     y = np.asarray(train_set.labels, dtype=np.int64)
     if np.any(y >= n_classes):
@@ -239,7 +267,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             breakdown, grads = batch_loss_and_gradients(
-                densify(rows, featurizer.dim, idx), y[idx], params, config.ll
+                take_rows(rows, idx), y[idx], params, config.ll
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteError(

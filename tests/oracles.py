@@ -5,7 +5,9 @@ The package computes everything through batched code paths (see
 functions restate the paper's equations one example at a time, and the kNN
 search as a plain scan, so tests can check the batched results against an
 independent, obviously-correct form. ``reference_loss_and_gradients`` keeps
-the batched training step in its first, plainest form.
+the batched training step in its first, plainest form, and
+``dense_loss_and_gradients`` keeps it over a dense (B, F) batch, as it ran
+before it went over the batch's live columns.
 """
 
 from __future__ import annotations
@@ -261,6 +263,155 @@ def reference_loss_and_gradients(
         dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
         dh_att = dt @ lbl
         d_label += dt.T @ h
+
+    dh = dz2 @ params.w2.T + dh_att
+    dz1 = dh * (1.0 - h * h)
+    # Only columns present in the batch get a w1 gradient; the rest stay
+    # exactly 0. Each row reduces over the batch, so its bits equal x.T @ dz1.
+    cols = np.flatnonzero(x.any(axis=0))
+    d_w1 = np.zeros_like(params.w1)
+    d_w1[cols] = x[:, cols].T @ dz1
+    grads = ModelParams(
+        w1=d_w1,
+        b1=dz1.sum(axis=0),
+        w2=h.T @ dz2,
+        b2=dz2.sum(axis=0),
+        label_emb=d_label,
+    )
+    return breakdown, grads
+
+
+def csr_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(row_ptr, cols, vals)`` of a dense batch: each row's nonzero
+    entries in ascending column order, as ``Featurizer.transform_rows``
+    returns them."""
+    x = np.asarray(x, dtype=np.float64)
+    row_idx, cols = np.nonzero(x)
+    row_ptr = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_idx, minlength=len(x)), out=row_ptr[1:])
+    return row_ptr, cols, x[row_idx, cols]
+
+
+def dense_loss_and_gradients(
+    x: np.ndarray,
+    y: np.ndarray,
+    params: ModelParams,
+    cfg: LLConfig,
+    with_grads: bool = True,
+) -> tuple[LossBreakdown, ModelParams | None]:
+    """The training step over a dense (B, F) batch, as it stood before it went
+    over the batch's live columns: z1 = x @ W1 + b1 over all F columns, and
+    dW1 as a whole (F, d) tensor, +0.0 outside the columns the batch uses.
+    ``dknn.model.batch_loss_and_gradients`` must match it to 1e-12, and bit
+    for bit where the full GEMM sums its F terms as the (B, L) block does.
+    """
+    cfg.validate()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != params.feature_dim:
+        raise ValueError("x must be (B, feature_dim)")
+    if y.shape != (x.shape[0],):
+        raise ValueError("y must have one label per row of x")
+    c = params.n_classes
+    if np.any((y < 0) | (y >= c)):
+        raise ValueError("label out of range")
+
+    batch = x.shape[0]
+    rows = np.arange(batch)
+    lbl = params.label_emb
+
+    z1 = x @ params.w1 + params.b1
+    h = np.tanh(z1)
+    p = softmax_rows(h @ params.w2 + params.b2)
+    py = p[rows, y]
+    ce_vec = -np.log(np.maximum(py, CE_EPS))
+    ce = float(ce_vec.mean())
+
+    kl_on = cfg.enable_kl and c >= 1
+    cl_on = cfg.enable_cl and c >= 2
+    ll_on = kl_on or cl_on
+
+    if ll_on:
+        alpha = softmax_rows(h @ lbl.T)
+        gram = _mirror(lbl @ lbl.T)
+
+    kl = 0.0
+    if kl_on:
+        # row y of M, with the same products as the full (B, c, c) tensor
+        mrow = alpha[rows, y, None] * alpha * gram[y]
+        q = softmax_rows(mrow)
+        qs = q + KL_EPS
+        sq = qs.sum(axis=1, keepdims=True)
+        qn = qs / sq
+        ps = p + KL_EPS
+        sp = ps.sum(axis=1, keepdims=True)
+        pn = ps / sp
+        log_ratio = np.log(qn) - np.log(pn)
+        kl_vec = (qn * log_ratio).sum(axis=1)
+        kl = float(kl_vec.mean())
+
+    cl = 0.0
+    active_fraction = 0.0
+    if cl_on:
+        kappa = 1.0 / (c * (c - 1))
+        diag_idx = np.arange(c)
+        m_all = np.einsum("bi,bj->bij", alpha, alpha)  # one product per entry
+        m_all *= gram
+        margin = cfg.rho - m_all[:, diag_idx, diag_idx]
+        hinge = np.add(margin[:, :, None], m_all, out=m_all)
+        # i == j is no pair: a 0.0 there keeps it out of `active`, and its
+        # +0.0 keeps a sum of folded inactive entries (-x * False = -0.0)
+        # at +0.0, whatever value the reduction starts from.
+        hinge[:, diag_idx, diag_idx] = 0.0
+        active = hinge > 0.0
+        hinge *= active
+        cl_vec = hinge.sum(axis=(1, 2)) * kappa
+        cl = float(cl_vec.mean())
+        active_fraction = np.count_nonzero(active) * kappa / batch
+
+    breakdown = LossBreakdown(
+        ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
+    )
+    if not with_grads:
+        return breakdown, None
+
+    # ----- backward -----
+    onehot = np.zeros((batch, c))
+    onehot[rows, y] = 1.0
+    ce_scale = 1.0 / batch
+    ce_live = (py >= CE_EPS)[:, None]  # clamped rows contribute no CE gradient
+    dz2 = np.where(ce_live, (p - onehot) * ce_scale, 0.0)
+
+    d_label = np.zeros_like(lbl)
+    dh_att = 0.0
+    if ll_on:
+        if cl_on:
+            cl_scale = kappa / batch
+            dm = active.astype(np.float64)
+            # active counts per row, exact in float64
+            counts = dm.reshape(-1, c) @ np.ones(c)
+            dm *= cl_scale
+            dm[:, diag_idx, diag_idx] -= cl_scale * counts.reshape(batch, c)
+        else:
+            dm = np.zeros((batch, c, c))
+        if kl_on:
+            kl_scale = 1.0 / batch
+            g_p = (1.0 - qn / pn) / sp * kl_scale
+            dz2 += p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+            g_q = (log_ratio - kl_vec[:, None]) / sq * kl_scale
+            dm[rows, y, :] += q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+        # With s_ij = (dm_ij + dm_ji) alpha_j per example: dL/dalpha_i is
+        # sum_j s_ij gram_ij, and label row i gets sum_j w_ij l_j with
+        # w_ij = sum_b alpha_i s_ij. Both take row i of every example at
+        # once: one matrix product per class i.
+        s = dm + dm.transpose(0, 2, 1)
+        s *= alpha[:, None, :]
+        row_i = s.transpose(1, 0, 2)  # (c, B, c)
+        dalpha = (row_i @ gram[:, :, None])[:, :, 0].T
+        weights = (alpha.T[:, None, :] @ row_i)[:, 0, :]
+        dt = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        dh_att = dt @ lbl
+        d_label = weights @ lbl + dt.T @ h
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)

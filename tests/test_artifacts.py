@@ -10,7 +10,7 @@ import pytest
 
 from dknn import artifacts, cli
 from dknn.features import FeaturizerConfig, fit_featurizer
-from dknn.harness import ExperimentReport, ReportRow
+from dknn.harness import Dataset, ExperimentReport, ReportRow, save_dataset
 from dknn.model import ModelParams, save_checkpoint
 from dknn.stores import RepresentationStore, StoreMetric, save_sidecar, save_store
 from dknn.trainer import EpochRecord, save_history
@@ -33,6 +33,11 @@ def _store(value: float) -> RepresentationStore:
                                n_classes=2, fingerprint=7)
 
 
+def _dataset(value: float) -> Dataset:
+    return Dataset(texts=[f"text {value}", "a, \"quoted\"\nline"], labels=[0, 1],
+                   label_names=["a", "b"], coarse_of_label=[0, 0], coarse_names=["g"])
+
+
 def _report(mean: float) -> ExperimentReport:
     return ExperimentReport(rows=[ReportRow("a", mean, 0.0, [mean])], meta={}, wall_clock=0.0)
 
@@ -46,6 +51,8 @@ SAVERS = {
         fit_featurizer([], FeaturizerConfig(dim=16)), [f"label {v}"], path),
     "effective_config.txt": lambda path, v: cli._echo_config({"v": v}, path.parent),
     "report.json": lambda path, v: _report(v).save(path.parent),
+    "dataset.jsonl": lambda path, v: save_dataset(_dataset(v), path),
+    "dataset.csv": lambda path, v: save_dataset(_dataset(v), path),
 }
 
 

@@ -489,6 +489,24 @@ def test_unwritable_output_path_exits_2(workspace, tmp_path, case):
     assert str(target) in line and ".tmp" not in line
 
 
+@pytest.mark.parametrize("case", ["train-dataset", "build-store-dataset", "gen-synth-out"])
+def test_directory_as_dataset_path_exits_2(workspace, tmp_path, case):
+    root, data, out = workspace
+    target = tmp_path / "data.jsonl"
+    target.mkdir()
+    if case == "train-dataset":
+        argv = ["train", "--dataset", str(target), "--out", str(tmp_path / "run")]
+    elif case == "build-store-dataset":
+        argv = ["build-store", "--checkpoint", str(out / "checkpoint.dknm"),
+                "--dataset", str(target), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["gen-synth", "--out", str(target), "--n", "20"]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert str(target) in line and ".tmp" not in line
+    assert target.is_dir() and not any(target.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+
 FUZZED = {"checkpoint.dknm": "--checkpoint", "featurizer.json": "--featurizer-file",
           "store_text.dkns": "--text-store", "store_pro.dkns": "--pro-store"}
 

@@ -114,33 +114,34 @@ def test_forward_of_no_rows():
 
 
 def test_inference_callers_never_build_a_dense_feature_matrix(monkeypatch):
-    """build_stores, evaluate, the dev accuracy and predict_many run on CSR
-    rows; train densifies only its own mini-batches."""
+    """train, build_stores, evaluate, the dev accuracy and predict_many run
+    on CSR rows; train hands the model one mini-batch slice at a time."""
     texts = LONG[:300]
     ds = Dataset(texts=texts, labels=[i % 3 for i in range(len(texts))],
                  label_names=["a", "b", "c"])
     feat = fit_featurizer([], FeaturizerConfig(dim=256))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense featurization on an inference path")
+        raise AssertionError("dense featurization")
 
     monkeypatch.setattr(features.Featurizer, "transform_many", forbidden)
     monkeypatch.setattr(features.Featurizer, "transform", forbidden)
     monkeypatch.setattr(features, "densify", forbidden)
+    assert not hasattr(trainer, "densify")
     batches = []
+    step = trainer.batch_loss_and_gradients
 
-    def batch_densify(rows, dim, idx=None):
-        assert idx is not None and len(idx) <= 32
-        batches.append(len(idx))
-        return densify(rows, dim, idx)
+    def batch_step(rows, y, params, ll, with_grads=True):
+        assert len(rows[0]) - 1 == len(y) <= 32
+        batches.append(len(y))
+        return step(rows, y, params, ll, with_grads)
 
-    monkeypatch.setattr(trainer, "densify", batch_densify)
+    monkeypatch.setattr(trainer, "batch_loss_and_gradients", batch_step)
     cfg = TrainConfig(batch_size=32, epochs=2, embed_dim=8, seed=1)
     params, history = train(ds.subset(range(200)), ds.subset(range(200, 300)), feat, cfg)
     assert sum(batches) == 2 * 200
     assert history[-1].dev_accuracy is not None
 
-    monkeypatch.setattr(trainer, "densify", forbidden)
     s_text, s_pro = build_stores(params, feat, ds)
     assert 0.0 <= evaluate(params, feat, ds) <= 1.0
     out = predict_many(texts[:50], params, feat, s_text, s_pro, InferenceConfig(k=3))

@@ -20,6 +20,7 @@ from dknn.model import (
 from dknn.rng import Rng
 from dknn.trainer import TrainConfig, save_history, train
 from oracles import (
+    csr_rows,
     label_attention,
     label_similarity,
     reference_loss_and_gradients,
@@ -124,9 +125,9 @@ def test_batch_gradient_is_mean_of_singles():
     x = rng.normals(4 * 20).reshape(4, 20) * 0.5
     y = np.array([rng.bounded(5) for _ in range(4)])
     cfg = LLConfig()
-    _, batch = batch_loss_and_gradients(x, y, params, cfg)
+    _, batch = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
     singles = [gradients(x[i], int(y[i]), params, cfg) for i in range(4)]
-    for name, tensor in batch.tensors().items():
+    for name, tensor in batch.dense(20).tensors().items():
         mean = np.mean([s.tensors()[name] for s in singles], axis=0)
         np.testing.assert_allclose(tensor, mean, atol=1e-12)
 
@@ -146,19 +147,22 @@ def test_w1_gradient_rows_of_absent_columns_are_zero():
     absent = [0, 3, 7, 19]
     x[:, absent] = 0.0
     y = np.array([rng.bounded(5) for _ in range(6)])
-    _, grads = batch_loss_and_gradients(x, y, params, LLConfig())
-    assert np.all(grads.w1[absent] == 0.0)
-    assert not np.any(np.signbit(grads.w1[absent]))
+    _, grads = batch_loss_and_gradients(csr_rows(x), y, params, LLConfig())
     present = np.setdiff1d(np.arange(20), absent)
-    assert np.all(np.any(grads.w1[present] != 0.0, axis=1))
+    assert np.array_equal(grads.w1_rows, present)
+    assert np.all(np.any(grads.w1 != 0.0, axis=1))
+    d_w1 = grads.dense(20).w1
+    assert np.all(d_w1[absent] == 0.0)
+    assert not np.any(np.signbit(d_w1[absent]))
 
 
 def test_single_example_w1_gradient_is_outer_product():
     params, x, y = random_instance(17)
     x = x.copy()
     x[[2, 5]] = 0.0
-    _, grads = batch_loss_and_gradients(x[None, :], np.array([y]), params, LLConfig())
-    assert np.array_equal(grads.w1, np.outer(x, grads.b1))
+    _, grads = batch_loss_and_gradients(csr_rows(x[None, :]), np.array([y]), params,
+                                        LLConfig())
+    assert np.array_equal(grads.dense(len(x)).w1, np.outer(x, grads.b1))
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +196,27 @@ def test_step_matches_reference(kl, cl, c, batch, rho, label_scale, seed):
     y = np.array([rng.bounded(c) for _ in range(batch)])
     cfg = LLConfig(rho=rho, enable_kl=kl, enable_cl=cl)
 
-    got, grads = batch_loss_and_gradients(x, y, params, cfg)
+    got, step = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
     want, ref = reference_loss_and_gradients(x, y, params, cfg)
-    forward_only, none = batch_loss_and_gradients(x, y, params, cfg, with_grads=False)
+    forward_only, none = batch_loss_and_gradients(csr_rows(x), y, params, cfg,
+                                                  with_grads=False)
     assert none is None and forward_only == got
     for name in LOSS_FIELDS:
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
-    for name, tensor in grads.tensors().items():
+    for name, tensor in step.dense(f).tensors().items():
         expected = ref.tensors()[name]
         assert tensor.shape == expected.shape
         assert np.all(np.abs(tensor - expected) <= 1e-12 * (1.0 + np.abs(expected))), name
     if not (kl or cl):
+        # Bit for bit against the first form over the batch's live columns.
+        # Dropping all-zero columns changes the math of nothing, but it can
+        # change how a 1-row GEMV groups its F-term sums.
+        live = np.flatnonzero(x.any(axis=0))
+        assert np.array_equal(step.w1_rows, live)
+        sub = ModelParams(**{**params.tensors(), "w1": params.w1[live]})
+        want, ref = reference_loss_and_gradients(x[:, live], y, sub, cfg)
         assert got == want
-        for name, tensor in grads.tensors().items():
+        for name, tensor in step.tensors().items():
             expected = ref.tensors()[name]
             assert np.array_equal(tensor, expected), name
             assert np.array_equal(np.signbit(tensor), np.signbit(expected)), name
@@ -223,7 +235,7 @@ def test_no_active_hinge_reads_positive_zero(label_emb, kl):
     params, x, _ = random_instance(3, f=f, d=d, c=c)
     params.label_emb = np.zeros((c, d)) if label_emb == "zero" else 2.0 * np.eye(c, d)
     xb = np.stack([x, -x, 0.5 * x])
-    out, _ = batch_loss_and_gradients(xb, np.array([0, 1, 3]), params,
+    out, _ = batch_loss_and_gradients(csr_rows(xb), np.array([0, 1, 3]), params,
                                       LLConfig(rho=0.0, enable_kl=kl))
     assert out.cl == 0.0 and not _is_negative_zero(out.cl)
     assert out.active_hinge_fraction == 0.0

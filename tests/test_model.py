@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dknn.exceptions import CorruptArtifactError
+from dknn.features import densify, take_rows
 from dknn.model import (
     LLConfig,
     ModelParams,
+    _live_block,
     batch_loss_and_gradients,
     checkpoint_bytes,
     classify,
@@ -18,9 +23,12 @@ from dknn.model import (
     total_loss,
 )
 from dknn.rng import Rng
+from dknn.trainer import AdamState, TrainConfig, adam_step
 from oracles import (
     contrastive_grad_m,
     contrastive_loss,
+    csr_rows,
+    dense_loss_and_gradients,
     label_attention,
     label_similarity,
     scaled_label_matrix,
@@ -267,12 +275,95 @@ class TestTotalLoss:
         x = rng.normals(30).reshape(5, 6)
         y = np.array([rng.bounded(3) for _ in range(5)])
         cfg = LLConfig()
-        batch, _ = batch_loss_and_gradients(x, y, params, cfg, with_grads=False)
+        batch, _ = batch_loss_and_gradients(csr_rows(x), y, params, cfg,
+                                            with_grads=False)
         singles = [total_loss(x[i], int(y[i]), params, cfg) for i in range(5)]
         assert batch.ce == pytest.approx(np.mean([s.ce for s in singles]), abs=1e-12)
         assert batch.kl == pytest.approx(np.mean([s.kl for s in singles]), abs=1e-12)
         assert batch.cl == pytest.approx(np.mean([s.cl for s in singles]), abs=1e-12)
 
+
+
+def random_rows(rng: Rng, f: int, lengths: list[int]):
+    """CSR rows with ``lengths[i]`` distinct ascending columns in [0, f)."""
+    cols = [np.sort(rng.permutation(f)[:n]) for n in lengths]
+    row_ptr = np.concatenate([[0], np.cumsum([len(c) for c in cols])]).astype(np.int64)
+    flat = np.concatenate(cols + [np.zeros(0, dtype=np.int64)])
+    return row_ptr, flat, rng.normals(len(flat)) * 0.5 + 1.0
+
+
+class TestLiveColumnStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.sampled_from([64, 512, 4096]),
+        d=st.sampled_from([8, 64]),
+        c=st.sampled_from([1, 2, 5]),
+        lengths=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        all_empty=st.booleans(),
+        cut=st.integers(0, 40),
+        kl=st.booleans(),
+        cl=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_dense_step(self, f, d, c, lengths, all_empty, cut, kl, cl, seed):
+        """A batch sliced from shuffled rows, as train takes it: its compact
+        block scattered back is densify of those rows, bit for bit, and loss
+        and gradients equal the dense step to 1e-12. A batch of empty rows
+        has no live column, so z1 is b1 alone."""
+        rng = Rng(seed)
+        if all_empty:
+            lengths = [0] * len(lengths)
+        rows = random_rows(rng, f, lengths)
+        order = rng.permutation(len(lengths))
+        row_ptr, cols, vals = take_rows(rows, order)
+        lo = min(cut, len(lengths) - 1)
+        batch = (row_ptr[lo:], cols, vals)
+        x = densify(rows, f, order[lo:])
+
+        live, block = _live_block(batch)
+        scattered = np.zeros_like(x)
+        scattered[:, live] = block
+        assert np.array_equal(scattered, x)
+        assert np.array_equal(np.signbit(scattered), np.signbit(x))
+
+        params = random_params(rng, f, d, c)
+        y = np.array([rng.bounded(c) for _ in range(len(x))])
+        cfg = LLConfig(enable_kl=kl, enable_cl=cl)
+        got, step = batch_loss_and_gradients(batch, y, params, cfg)
+        want, ref = dense_loss_and_gradients(x, y, params, cfg)
+        for name in ("ce", "kl", "cl", "total", "active_hinge_fraction"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+        assert np.array_equal(step.w1_rows, np.flatnonzero(x.any(axis=0)))
+        for name, tensor in step.dense(f).tensors().items():
+            expected = ref.tensors()[name]
+            assert np.all(np.abs(tensor - expected) <= 1e-12 * (1.0 + np.abs(expected))), name
+        if all_empty:
+            assert step.w1.shape == (0, d)
+            assert got == want  # z1 = b1 on both sides
+
+    def test_a_step_allocates_nothing_feature_wide(self):
+        """At F = 2^16 an (F, d) float64 array is 16 MiB. Loss, gradients and
+        Adam over a few sparse batches must peak far below that."""
+        f, d, c = 1 << 16, 32, 4
+        rng = Rng(3)
+        params = random_params(rng, f, d, c)
+        state = AdamState.for_params(params)
+        rows = random_rows(rng, f, [20] * 64)
+        y = np.array([i % c for i in range(64)])
+        tracemalloc.start()
+        try:
+            for lo in range(0, 64, 16):
+                tracemalloc.reset_peak()
+                _, grads = batch_loss_and_gradients(
+                    (rows[0][lo : lo + 17], rows[1], rows[2]), y[lo : lo + 16],
+                    params, LLConfig())
+                adam_step(params, grads, state, TrainConfig())
+                norms = [np.linalg.norm(g) for g in grads.tensors().values()]
+                assert tracemalloc.get_traced_memory()[1] < f * d * 8 // 8
+                assert np.all(np.isfinite(norms))
+        finally:
+            tracemalloc.stop()
+        assert 0 < state.live["w1"].sum() <= 64 * 20
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 
 from dknn import trainer as trainer_mod
 from dknn.exceptions import NonFiniteError, ValidationError
-from dknn.features import FeaturizerConfig, fit_featurizer
+from dknn.features import FeaturizerConfig, densify, fit_featurizer
 from dknn.harness import Dataset
 from dknn.mathcore import softmax_rows
-from dknn.model import LLConfig, ModelParams, batch_loss_and_gradients
+from dknn.model import Gradients, LLConfig, ModelParams
 from dknn.rng import Rng
 from dknn.trainer import (
     AdamState,
@@ -19,7 +19,7 @@ from dknn.trainer import (
     save_history,
     train,
 )
-from oracles import dense_adam_step
+from oracles import dense_adam_step, dense_loss_and_gradients
 
 CLASS_TOKENS = [
     ["apple", "pear", "plum", "grape", "melon"],
@@ -46,6 +46,12 @@ def small_featurizer():
     return fit_featurizer([], FeaturizerConfig(dim=64))
 
 
+def row_grads(dense: ModelParams, rows) -> Gradients:
+    """The gradients ``dense`` with w1 handed over as its rows ``rows``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return Gradients(w1_rows=rows, **{**dense.tensors(), "w1": dense.w1[rows]})
+
+
 def ce_only_config(**kw) -> TrainConfig:
     ll = LLConfig(enable_kl=False, enable_cl=False)
     return TrainConfig(batch_size=16, epochs=30, embed_dim=8, seed=7, ll=ll, **kw)
@@ -59,7 +65,8 @@ class TestAdam:
         params = self._params()
         before = {k: t.copy() for k, t in params.tensors().items()}
         grads = ModelParams(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
-        adam_step(params, grads, AdamState.for_params(params), TrainConfig())
+        adam_step(params, row_grads(grads, [0, 1, 2]), AdamState.for_params(params),
+                  TrainConfig())
         for k, t in params.tensors().items():
             assert np.array_equal(t, before[k])
 
@@ -74,7 +81,7 @@ class TestAdam:
             label_emb=np.zeros_like(params.label_emb),
         )
         cfg = TrainConfig(learning_rate=1e-3)
-        adam_step(params, grads, AdamState.for_params(params), cfg)
+        adam_step(params, row_grads(grads, [0, 1, 2]), AdamState.for_params(params), cfg)
         delta = params.w1 - before
         # closed form first step: -lr * g / (|g| + eps)
         expected = -cfg.learning_rate * 0.37 / (0.37 + cfg.adam_eps)
@@ -87,12 +94,13 @@ class TestAdam:
         state = AdamState.for_params(params)
         state.step = 41
         with pytest.raises(NonFiniteError, match="w2.*step 42"):
-            adam_step(params, grads, state, TrainConfig())
+            adam_step(params, row_grads(grads, [0]), state, TrainConfig())
 
     def test_live_rows_match_dense_adam_bitwise(self):
         """Rows go live at different steps (w1 row 1 first at step 3); a -0.0
-        entry sits both in a dead row and in a live one. Params and both
-        moments must equal dense Adam over every entry, bit for bit."""
+        entry sits both in a dead row and in a live one. The w1 gradient comes
+        as rows that include the all-zero rows 1 and 4 at every step. Params
+        and both moments must equal dense Adam over every entry, bit for bit."""
         params = init_params(6, 3, 4, Rng(3))
         params.w1[5, 0] = -0.0
         ref = {k: t.copy() for k, t in params.tensors().items()}
@@ -113,7 +121,7 @@ class TestAdam:
             if rows:
                 grads.w1[rows[0], 2] = -0.0
             grads.label_emb[1] = 0.0  # a row of another 2-D tensor stays dead
-            adam_step(params, grads, state, cfg)
+            adam_step(params, row_grads(grads, sorted({*rows, 1, 4})), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
                             cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
             assert state.live["w1"].tolist() == [
@@ -123,6 +131,43 @@ class TestAdam:
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (step, k)
                     assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
+
+    def test_dead_zero_row_keeps_its_state_and_all_live_w1_matches_dense(self):
+        """Step 1 hands over w1 rows [0, 1, 2, 3] with rows 1 and 3 all +-0
+        and dead: they must stay dead and untouched, and row 2's update must
+        land on row 2. Step 2 makes every row live, and step 3 then gives
+        only row 0, so the other rows update with a +0.0 gradient, as dense
+        Adam does."""
+        params = init_params(4, 2, 2, Rng(4))
+        ref = {k: t.copy() for k, t in params.tensors().items()}
+        m_ref = {k: np.zeros_like(t) for k, t in ref.items()}
+        v_ref = {k: np.zeros_like(t) for k, t in ref.items()}
+        state = AdamState.for_params(params)
+        cfg = TrainConfig(learning_rate=1e-2)
+        rng = Rng(9)
+        for step, (given, nonzero) in enumerate(
+            [([0, 1, 2, 3], [0, 2]), ([1, 3], [1, 3]), ([0], [0])], 1
+        ):
+            grads = ModelParams(**{
+                k: rng.normals(t.size).reshape(t.shape) for k, t in ref.items()
+            })
+            dead = np.setdiff1d(np.arange(4), nonzero)
+            grads.w1[dead] = 0.0
+            if step == 1:
+                grads.w1[1, 1] = -0.0
+            w1_before = params.w1.copy()
+            adam_step(params, row_grads(grads, given), state, cfg)
+            dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
+                            cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            if step == 1:
+                assert state.live["w1"].tolist() == [True, False, True, False]
+                assert np.array_equal(params.w1[[1, 3]], w1_before[[1, 3]])
+                assert not state.m["w1"][[1, 3]].any() and not state.v["w1"][[1, 3]].any()
+            for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
+                for k in want:
+                    assert np.array_equal(got[k], want[k]), (step, k)
+                    assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
+        assert state.live["w1"].all()
 
 
 class TestInit:
@@ -205,43 +250,56 @@ class TestTrain:
         assert good >= 4
 
     def test_matches_dense_batches_and_dense_adam_bitwise(self, monkeypatch):
-        """With both LL losses on, train equals a loop over dense x[idx]
-        batches with dense Adam, and densifies one mini-batch at a time."""
+        """With both LL losses on, train equals a loop of the dense step over
+        dense x[idx] batches with dense Adam. Each step gets the CSR slice of
+        its own mini-batch, whose dense form is x[idx].
+
+        Bit for bit when the dense step runs over the batch's nonzero
+        columns, so both GEMMs have the same operands on any BLAS kernel;
+        to 1e-12 when it runs over all F columns, whose zero terms some
+        kernels group differently."""
         ds = separable_dataset(n_per_class=20)
         feat = fit_featurizer([], FeaturizerConfig(dim=512))
         cfg = TrainConfig(batch_size=16, epochs=3, embed_dim=8, seed=5,
                           learning_rate=1e-2, ll=LLConfig())
-        block_rows = []
-        densify = trainer_mod.densify
+        blocks = []
+        step_fn = trainer_mod.batch_loss_and_gradients
 
-        def recording_densify(rows, dim, idx=None):
-            out = densify(rows, dim, idx)
-            block_rows.append(len(out))
-            return out
+        def recording_step(rows, y, params, ll, with_grads=True):
+            blocks.append(densify(rows, feat.dim))
+            return step_fn(rows, y, params, ll, with_grads)
 
-        monkeypatch.setattr(trainer_mod, "densify", recording_densify)
+        monkeypatch.setattr(trainer_mod, "batch_loss_and_gradients", recording_step)
         params, history = train(ds, None, feat, cfg)
-        assert max(block_rows) <= cfg.batch_size
-        assert len(block_rows) == cfg.epochs * -(-ds.n // cfg.batch_size)
+        assert max(map(len, blocks)) <= cfg.batch_size
+        assert len(blocks) == cfg.epochs * -(-ds.n // cfg.batch_size)
 
         x_all = feat.transform_many(ds.texts)
         y_all = np.asarray(ds.labels)
-        ref = init_params(feat.dim, cfg.embed_dim, 2, Rng(cfg.seed)).tensors()
-        m = {k: np.zeros_like(t) for k, t in ref.items()}
-        v = {k: np.zeros_like(t) for k, t in ref.items()}
-        step = 0
-        for epoch in range(cfg.epochs):
-            order = Rng(cfg.seed ^ epoch).permutation(ds.n)
-            for start in range(0, ds.n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                _, grads = batch_loss_and_gradients(
-                    x_all[idx], y_all[idx], ModelParams(**ref), cfg.ll
-                )
-                step += 1
-                dense_adam_step(ref, grads.tensors(), m, v, step, cfg.learning_rate,
-                                cfg.beta1, cfg.beta2, cfg.adam_eps)
-        for k, t in params.tensors().items():
-            assert np.array_equal(t, ref[k]), k
+        for live_only in (True, False):
+            ref = init_params(feat.dim, cfg.embed_dim, 2, Rng(cfg.seed)).tensors()
+            m = {k: np.zeros_like(t) for k, t in ref.items()}
+            v = {k: np.zeros_like(t) for k, t in ref.items()}
+            step = 0
+            for epoch in range(cfg.epochs):
+                order = Rng(cfg.seed ^ epoch).permutation(ds.n)
+                for start in range(0, ds.n, cfg.batch_size):
+                    xb = x_all[order[start : start + cfg.batch_size]]
+                    yb = y_all[order[start : start + cfg.batch_size]]
+                    assert np.array_equal(blocks[step], xb)
+                    cols = np.flatnonzero(xb.any(axis=0)) if live_only else slice(None)
+                    sub = ModelParams(**{**ref, "w1": ref["w1"][cols]})
+                    _, g = dense_loss_and_gradients(xb[:, cols], yb, sub, cfg.ll)
+                    grads = {**g.tensors(), "w1": np.zeros_like(ref["w1"])}
+                    grads["w1"][cols] = g.w1
+                    step += 1
+                    dense_adam_step(ref, grads, m, v, step, cfg.learning_rate,
+                                    cfg.beta1, cfg.beta2, cfg.adam_eps)
+            for k, t in params.tensors().items():
+                if live_only:
+                    assert np.array_equal(t, ref[k]), k
+                else:
+                    assert np.abs(t - ref[k]).max() <= 1e-12, k
         assert all(0.0 < r.active_hinge_fraction <= 1.0 for r in history)
         assert all(r.grad_norm["w1"] > 0.0 for r in history)
 
