@@ -55,7 +55,6 @@ from .stores import (
     load_store,
     neighbor_distribution,
     predict,
-    predict_many,
     query,
     save_store,
 )

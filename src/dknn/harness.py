@@ -16,7 +16,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from statistics import stdev
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .artifacts import read_artifact, write_atomic
 from .exceptions import ValidationError
-from .features import Featurizer, FeaturizerConfig, fit_featurizer, fnv1a64
+from .features import FeaturizerConfig, fit_featurizer, fnv1a64
 from .model import LLConfig, ModelParams, model_fingerprint
 from .rng import Rng
 from .stores import InferenceConfig, build_stores, predict
@@ -436,18 +437,7 @@ class ExperimentReport:
     wall_clock: float  # seconds; in-memory only, not serialized
 
     def to_json(self) -> str:
-        doc = {
-            "rows": [
-                {
-                    "config": r.config,
-                    "mean": r.mean,
-                    "std": r.std,
-                    "repeats": r.repeats,
-                }
-                for r in self.rows
-            ],
-            "meta": self.meta,
-        }
+        doc = {"rows": [asdict(r) for r in self.rows], "meta": self.meta}
         return json.dumps(doc, indent=2) + "\n"
 
     def to_table(self) -> str:
@@ -461,11 +451,11 @@ class ExperimentReport:
             out.write(f"{r.config:<{width}}  {r.mean:8.4f}  {r.std:8.4f}  {reps}\n")
         return out.getvalue()
 
-    def save(self, out_dir, stem: str = "report") -> tuple[Path, Path]:
+    def save(self, out_dir) -> tuple[Path, Path]:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        json_path = out_dir / f"{stem}.json"
-        table_path = out_dir / f"{stem}.txt"
+        json_path = out_dir / "report.json"
+        table_path = out_dir / "report.txt"
         write_atomic(json_path, self.to_json())
         write_atomic(table_path, self.to_table())
         return json_path, table_path
@@ -510,37 +500,27 @@ def _run_repeat(cfg: ExperimentConfig, rows: list[RowSpec], r: int) -> list[floa
 
     featurizer = fit_featurizer(base_train.texts, cfg.featurizer)
 
-    noise_cache: dict[float, tuple[Dataset, Dataset]] = {}
-
+    @cache
     def noisy_sets(ratio: float) -> tuple[Dataset, Dataset]:
-        if ratio not in noise_cache:
-            tr, te = base_train, base_test
-            if ratio > 0.0:
-                tr = inject_noise(tr, ratio, split_seed ^ TAG_NOISE)
-                if cfg.noise_test:
-                    te = inject_noise(te, ratio, split_seed ^ TAG_NOISE_TEST)
-            noise_cache[ratio] = (tr, te)
-        return noise_cache[ratio]
+        tr, te = base_train, base_test
+        if ratio > 0.0:
+            tr = inject_noise(tr, ratio, split_seed ^ TAG_NOISE)
+            if cfg.noise_test:
+                te = inject_noise(te, ratio, split_seed ^ TAG_NOISE_TEST)
+        return tr, te
 
-    trained: dict[tuple, tuple[ModelParams, object]] = {}
-    stores: dict[tuple, tuple] = {}
+    @cache
+    def get_model(ll: LLConfig, ratio: float) -> tuple[ModelParams, int]:
+        tr, _ = noisy_sets(ratio)
+        tcfg = replace(cfg.train, seed=train_seed, ll=ll)
+        params, _hist = train(tr, None, featurizer, tcfg)
+        return params, model_fingerprint(params)
 
-    def get_model(ll: LLConfig, ratio: float):
-        key = (ll, ratio)
-        if key not in trained:
-            tr, _ = noisy_sets(ratio)
-            tcfg = replace(cfg.train, seed=train_seed, ll=ll)
-            params, _hist = train(tr, None, featurizer, tcfg)
-            trained[key] = (params, model_fingerprint(params))
-        return trained[key]
-
+    @cache
     def get_stores(ll: LLConfig, ratio: float):
-        key = (ll, ratio)
-        if key not in stores:
-            params, _fp = get_model(ll, ratio)
-            tr, _ = noisy_sets(ratio)
-            stores[key] = build_stores(params, featurizer, tr)
-        return stores[key]
+        params, _fp = get_model(ll, ratio)
+        tr, _ = noisy_sets(ratio)
+        return build_stores(params, featurizer, tr)
 
     accuracies: list[float] = []
     for row in rows:

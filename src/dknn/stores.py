@@ -375,23 +375,9 @@ def predict(
     cfg: InferenceConfig,
     fingerprint: int | None = None,
 ) -> PredictionBreakdown:
-    """Full inference pipeline for one text: the 1-row case of predict_many."""
-    return predict_many([text], params, featurizer, text_store, pro_store, cfg,
-                        fingerprint)[0]
-
-
-def predict_many(
-    texts: list[str],
-    params: ModelParams,
-    featurizer: Featurizer,
-    text_store: RepresentationStore | None,
-    pro_store: RepresentationStore | None,
-    cfg: InferenceConfig,
-    fingerprint: int | None = None,
-) -> list[PredictionBreakdown]:
-    """Full inference pipeline for every text, in order: the list of
+    """Full inference pipeline for one text: the 1-row case of
     iter_predictions."""
-    return list(iter_predictions(texts, params, featurizer, text_store, pro_store, cfg,
+    return next(iter_predictions([text], params, featurizer, text_store, pro_store, cfg,
                                  fingerprint))
 
 

@@ -12,14 +12,15 @@ as the CSR of its own rows (features.take_rows), in shuffled order. The
 step works over the batch's live columns (see model.py) and returns
 the w1 gradient as (rows, values). Adam, its finiteness check and the
 per-epoch gradient norms read only those rows, so no step allocates or
-reads an F x d array, except Adam's update of rows that are already live.
+reads an F x d array, except Adam's update of the w1 rows that batches
+have used.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,15 +36,16 @@ from .model import (
 )
 from .rng import Rng
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
     batch_size: int = 128
     epochs: int = 30
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     embed_dim: int = 64
     seed: int = 0
     ll: LLConfig = field(default_factory=LLConfig)
@@ -74,18 +76,7 @@ class EpochRecord:
     active_hinge_fraction: float  # per-example mean; 0.0 without the cl loss
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "ce": self.ce,
-                "kl": self.kl,
-                "cl": self.cl,
-                "total": self.total,
-                "dev_accuracy": self.dev_accuracy,
-                "grad_norm": self.grad_norm,
-                "active_hinge_fraction": self.active_hinge_fraction,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 TrainHistory = list[EpochRecord]
@@ -98,16 +89,15 @@ def save_history(history: TrainHistory, path) -> None:
 
 @dataclass
 class AdamState:
-    """Adam moments per tensor. ``live`` marks, per 2-D tensor, the rows that
-    have ever had a nonzero gradient; a tensor without an entry is all live.
-    ``scratch`` holds two work arrays per tensor, so a step allocates no
-    full-size temporaries."""
+    """Adam moments per tensor. ``live`` marks the rows of w1 that have been
+    in a step's ``grads.w1_rows``. ``scratch`` holds two work arrays per
+    tensor, so a step allocates no full-size temporaries."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    live: np.ndarray
     step: int = 0
-    live: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -116,21 +106,21 @@ class AdamState:
             m={k: np.zeros_like(t) for k, t in tensors.items()},
             v={k: np.zeros_like(t) for k, t in tensors.items()},
             scratch={k: (np.empty_like(t), np.empty_like(t)) for k, t in tensors.items()},
-            live={k: np.zeros(len(t), dtype=bool) for k, t in tensors.items() if t.ndim == 2},
+            live=np.zeros(len(params.w1), dtype=bool),
         )
 
 
 def adam_step(
     params: ModelParams, grads: Gradients, state: AdamState, config: TrainConfig
-) -> tuple[ModelParams, AdamState]:
+) -> None:
     """Standard bias-corrected Adam update, applied in place to params/state.
 
-    Rows that have never had a nonzero gradient are skipped. That is exact:
-    their m and v are 0 and their gradient is +-0, so the dense update would
-    subtract lr * 0 / (0 + eps) = 0. A row updates every step once it has
-    gone live, so the trajectory is that of dense Adam, bit for bit. The w1
-    gradient arrives as rows ``grads.w1_rows``; a live row it leaves out
-    gets a +0.0 gradient, as the dense tensor holds there.
+    b1, w2, b2 and label_emb update whole. w1 updates its live rows only,
+    with a +0.0 gradient for a live row the step leaves out, as the dense
+    tensor holds there. That is exact: a row that has never been live has
+    m = v = 0 and a +-0 gradient, so dense Adam would leave m and v at +0.0
+    and subtract +0.0 from the row. A row updates every step once it has
+    gone live, so the trajectory is that of dense Adam, bit for bit.
     """
     gtensors = grads.tensors()
     for name, grad in gtensors.items():
@@ -139,62 +129,39 @@ def adam_step(
                 f"non-finite gradient in tensor {name!r} at step {state.step + 1}"
             )
     state.step += 1
-    t = state.step
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    lr = config.learning_rate
     for name, tensor in params.tensors().items():
-        g = gtensors[name]
-        g_rows = grads.w1_rows if name == "w1" else None
-        m = state.m[name]
-        v = state.v[name]
-        scratch = state.scratch[name]
-        live = state.live.get(name)
-        if live is not None and not live.all():
-            went_live = g.any(axis=1)
-            live[went_live if g_rows is None else g_rows[went_live]] = True
-            rows = np.flatnonzero(live)
-            if g_rows is None:
-                g_live = g[rows]
-            else:
-                # A given row that is still dead is all +-0 and has no slot
-                # in `rows`: searchsorted would point it at the next live
-                # row's slot, or past the end.
-                keep = live[g_rows]
-                g_live = np.zeros((len(rows), g.shape[1]))
-                g_live[np.searchsorted(rows, g_rows[keep])] = g[keep]
-            tensor_r, m_r, v_r = tensor[rows], m[rows], v[rows]
-            num, den = (s[: len(rows)] for s in scratch)
-            _adam_update(tensor_r, g_live, m_r, v_r, bc1, bc2, config, num, den)
-            tensor[rows], m[rows], v[rows] = tensor_r, m_r, v_r
-        else:
-            if g_rows is not None:  # every row is live: the whole gradient
-                g_whole = np.zeros_like(tensor)
-                g_whole[g_rows] = g
-                g = g_whole
-            _adam_update(tensor, g, m, v, bc1, bc2, config, *scratch)
-    return params, state
+        if name != "w1":
+            _adam_update(tensor, gtensors[name], state.m[name], state.v[name],
+                         bc1, bc2, lr, *state.scratch[name])
+    state.live[grads.w1_rows] = True
+    rows = np.flatnonzero(state.live)
+    g = np.zeros((len(rows), params.w1.shape[1]))
+    g[np.searchsorted(rows, grads.w1_rows)] = grads.w1
+    w1, m, v = params.w1[rows], state.m["w1"][rows], state.v["w1"][rows]
+    num, den = (s[: len(rows)] for s in state.scratch["w1"])
+    _adam_update(w1, g, m, v, bc1, bc2, lr, num, den)
+    params.w1[rows], state.m["w1"][rows], state.v["w1"][rows] = w1, m, v
 
 
-def _adam_update(
-    tensor, g, m, v, bc1: float, bc2: float, config: TrainConfig, num, den
-) -> None:
+def _adam_update(tensor, g, m, v, bc1: float, bc2: float, lr: float, num, den) -> None:
     """tensor -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
     updates, with every intermediate in the work arrays ``num`` and ``den``
     and every operation in the order of that expression, so the bits are
     those of the plain form (``tests/oracles.py::dense_adam_step``)."""
-    b1, b2 = config.beta1, config.beta2
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=num)
-    v *= b2
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=den)
-    den *= 1.0 - b2
+    den *= 1.0 - ADAM_BETA2
     v += den
     np.divide(m, bc1, out=num)
-    num *= config.learning_rate
+    num *= lr
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += config.adam_eps
+    den += ADAM_EPS
     num /= den
     tensor -= num
 

@@ -11,7 +11,7 @@ from dknn.features import FeaturizerConfig, densify, fit_featurizer
 from dknn.harness import Dataset
 from dknn.model import ModelParams, classify, encode, forward_batch
 from dknn.rng import Rng
-from dknn.stores import InferenceConfig, build_stores, predict_many
+from dknn.stores import InferenceConfig, build_stores, iter_predictions
 from dknn.trainer import TrainConfig, evaluate, train
 from oracles import dense_forward
 
@@ -114,7 +114,7 @@ def test_forward_of_no_rows():
 
 
 def test_inference_callers_never_build_a_dense_feature_matrix(monkeypatch):
-    """train, build_stores, evaluate, the dev accuracy and predict_many run
+    """train, build_stores, evaluate, the dev accuracy and iter_predictions run
     on CSR rows; train hands the model one mini-batch slice at a time."""
     texts = LONG[:300]
     ds = Dataset(texts=texts, labels=[i % 3 for i in range(len(texts))],
@@ -144,7 +144,7 @@ def test_inference_callers_never_build_a_dense_feature_matrix(monkeypatch):
 
     s_text, s_pro = build_stores(params, feat, ds)
     assert 0.0 <= evaluate(params, feat, ds) <= 1.0
-    out = predict_many(texts[:50], params, feat, s_text, s_pro, InferenceConfig(k=3))
+    out = list(iter_predictions(texts[:50], params, feat, s_text, s_pro, InferenceConfig(k=3)))
     assert len(out) == 50
     out = stores.predict(texts[0], params, feat, s_text, s_pro, InferenceConfig(k=3))
     assert out.label in (0, 1, 2)

@@ -363,7 +363,7 @@ class TestLiveColumnStep:
                 assert np.all(np.isfinite(norms))
         finally:
             tracemalloc.stop()
-        assert 0 < state.live["w1"].sum() <= 64 * 20
+        assert 0 < state.live.sum() <= 64 * 20
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

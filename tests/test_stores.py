@@ -27,7 +27,6 @@ from dknn.stores import (
     load_store,
     neighbor_distribution,
     predict,
-    predict_many,
     query,
     save_store,
     store_bytes,
@@ -532,7 +531,7 @@ class TestPredict:
         params, feat, ds, s_text, s_pro = build_fixture()
         texts = ds.texts + ["", "--- !!!", "apple tiger melon", "unseen words only"]
         cfg = InferenceConfig(k=4, lam=0.3, use_text_knn=text_knn, use_pro_knn=pro_knn)
-        many = predict_many(texts, params, feat, s_text, s_pro, cfg)
+        many = list(iter_predictions(texts, params, feat, s_text, s_pro, cfg))
         assert len(many) == len(texts)
         for text, got in zip(texts, many, strict=True):
             want = predict(text, params, feat, s_text, s_pro, cfg)
@@ -545,7 +544,7 @@ class TestPredict:
             assert got.label == want.label
             assert got.text_neighbors == want.text_neighbors
             assert got.pro_neighbors == want.pro_neighbors
-        assert predict_many([], params, feat, s_text, s_pro, cfg) == []
+        assert list(iter_predictions([], params, feat, s_text, s_pro, cfg)) == []
 
     def test_iter_predictions_checks_stores_before_it_returns(self):
         params, feat, ds, s_text, s_pro = build_fixture()
@@ -555,7 +554,7 @@ class TestPredict:
         cfg = InferenceConfig(k=4)
         got = iter_predictions(ds.texts, params, feat, s_text, s_pro, cfg)
         assert [b.p_final.tobytes() for b in got] == [
-            b.p_final.tobytes() for b in predict_many(ds.texts, params, feat, s_text, s_pro, cfg)]
+            predict(t, params, feat, s_text, s_pro, cfg).p_final.tobytes() for t in ds.texts]
 
     def test_all_breakdown_fields_are_distributions(self):
         from dknn.mathcore import is_distribution

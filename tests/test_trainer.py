@@ -11,6 +11,9 @@ from dknn.mathcore import softmax_rows
 from dknn.model import Gradients, LLConfig, ModelParams
 from dknn.rng import Rng
 from dknn.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -84,7 +87,7 @@ class TestAdam:
         adam_step(params, row_grads(grads, [0, 1, 2]), AdamState.for_params(params), cfg)
         delta = params.w1 - before
         # closed form first step: -lr * g / (|g| + eps)
-        expected = -cfg.learning_rate * 0.37 / (0.37 + cfg.adam_eps)
+        expected = -cfg.learning_rate * 0.37 / (0.37 + ADAM_EPS)
         np.testing.assert_allclose(delta, expected, rtol=1e-12)
 
     def test_non_finite_gradient_aborts_with_diagnostics(self):
@@ -97,10 +100,11 @@ class TestAdam:
             adam_step(params, row_grads(grads, [0]), state, TrainConfig())
 
     def test_live_rows_match_dense_adam_bitwise(self):
-        """Rows go live at different steps (w1 row 1 first at step 3); a -0.0
-        entry sits both in a dead row and in a live one. The w1 gradient comes
-        as rows that include the all-zero rows 1 and 4 at every step. Params
-        and both moments must equal dense Adam over every entry, bit for bit."""
+        """Rows go live at different steps; a -0.0 entry sits both in an
+        all-zero row and in a nonzero one. The w1 gradient comes as rows that
+        include rows 1 and 4 at every step, so both go live at step 1 while
+        all zero (row 1 is nonzero first at step 3). Params and both moments
+        must equal dense Adam over every entry, bit for bit."""
         params = init_params(6, 3, 4, Rng(3))
         params.w1[5, 0] = -0.0
         ref = {k: t.copy() for k, t in params.tensors().items()}
@@ -117,15 +121,16 @@ class TestAdam:
             mask = np.zeros(len(grads.w1), dtype=bool)
             mask[rows] = True
             grads.w1[~mask] = 0.0
-            grads.w1[4, 1] = -0.0  # row 4 never goes live
+            grads.w1[4, 1] = -0.0  # row 4 is never nonzero
             if rows:
                 grads.w1[rows[0], 2] = -0.0
-            grads.label_emb[1] = 0.0  # a row of another 2-D tensor stays dead
+            grads.label_emb[1] = 0.0  # a row of another 2-D tensor stays zero
             adam_step(params, row_grads(grads, sorted({*rows, 1, 4})), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
-                            cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            assert state.live["w1"].tolist() == [
-                any(r in seen for seen in live_rows[:step]) for r in range(6)
+                            cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            assert state.live.tolist() == [
+                r in (1, 4) or any(r in seen for seen in live_rows[:step])
+                for r in range(6)
             ]
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
                 for k in want:
@@ -133,11 +138,11 @@ class TestAdam:
                     assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
 
     def test_dead_zero_row_keeps_its_state_and_all_live_w1_matches_dense(self):
-        """Step 1 hands over w1 rows [0, 1, 2, 3] with rows 1 and 3 all +-0
-        and dead: they must stay dead and untouched, and row 2's update must
-        land on row 2. Step 2 makes every row live, and step 3 then gives
-        only row 0, so the other rows update with a +0.0 gradient, as dense
-        Adam does."""
+        """Step 1 hands over w1 rows [0, 1, 2, 3] with rows 1 and 3 all +-0:
+        every row goes live, rows 1 and 3 must stay untouched with zero
+        moments, and row 2's update must land on row 2. Step 3 gives only
+        row 0, so the other rows update with a +0.0 gradient, as dense Adam
+        does."""
         params = init_params(4, 2, 2, Rng(4))
         ref = {k: t.copy() for k, t in params.tensors().items()}
         m_ref = {k: np.zeros_like(t) for k, t in ref.items()}
@@ -158,16 +163,16 @@ class TestAdam:
             w1_before = params.w1.copy()
             adam_step(params, row_grads(grads, given), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
-                            cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                            cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
             if step == 1:
-                assert state.live["w1"].tolist() == [True, False, True, False]
+                assert state.live.tolist() == [True, True, True, True]
                 assert np.array_equal(params.w1[[1, 3]], w1_before[[1, 3]])
                 assert not state.m["w1"][[1, 3]].any() and not state.v["w1"][[1, 3]].any()
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (step, k)
                     assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
-        assert state.live["w1"].all()
+        assert state.live.all()
 
 
 class TestInit:
@@ -249,17 +254,19 @@ class TestTrain:
                 good += 1
         assert good >= 4
 
-    def test_matches_dense_batches_and_dense_adam_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["hashing", "tfidf"])
+    def test_matches_dense_batches_and_dense_adam_bitwise(self, monkeypatch, mode):
         """With both LL losses on, train equals a loop of the dense step over
         dense x[idx] batches with dense Adam. Each step gets the CSR slice of
-        its own mini-batch, whose dense form is x[idx].
+        its own mini-batch, whose dense form is x[idx]. Under tf-idf F is the
+        training vocabulary, so every w1 row goes live in epoch 1.
 
         Bit for bit when the dense step runs over the batch's nonzero
         columns, so both GEMMs have the same operands on any BLAS kernel;
         to 1e-12 when it runs over all F columns, whose zero terms some
         kernels group differently."""
         ds = separable_dataset(n_per_class=20)
-        feat = fit_featurizer([], FeaturizerConfig(dim=512))
+        feat = fit_featurizer(ds.texts, FeaturizerConfig(mode=mode, dim=512))
         cfg = TrainConfig(batch_size=16, epochs=3, embed_dim=8, seed=5,
                           learning_rate=1e-2, ll=LLConfig())
         blocks = []
@@ -294,7 +301,7 @@ class TestTrain:
                     grads["w1"][cols] = g.w1
                     step += 1
                     dense_adam_step(ref, grads, m, v, step, cfg.learning_rate,
-                                    cfg.beta1, cfg.beta2, cfg.adam_eps)
+                                    ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
             for k, t in params.tensors().items():
                 if live_only:
                     assert np.array_equal(t, ref[k]), k
@@ -366,16 +373,16 @@ class TestTrain:
                     "d": dz2.sum(axis=0),
                 }
                 step += 1
-                bc1 = 1.0 - cfg.beta1**step
-                bc2 = 1.0 - cfg.beta2**step
+                bc1 = 1.0 - ADAM_BETA1**step
+                bc2 = 1.0 - ADAM_BETA2**step
                 for name, tensor in zip("abcd", (w1, b1, w2, b2)):
                     g = grads[name]
-                    m[name] *= cfg.beta1
-                    m[name] += (1.0 - cfg.beta1) * g
-                    v[name] *= cfg.beta2
-                    v[name] += (1.0 - cfg.beta2) * (g * g)
+                    m[name] *= ADAM_BETA1
+                    m[name] += (1.0 - ADAM_BETA1) * g
+                    v[name] *= ADAM_BETA2
+                    v[name] += (1.0 - ADAM_BETA2) * (g * g)
                     tensor -= cfg.learning_rate * (m[name] / bc1) / (
-                        np.sqrt(v[name] / bc2) + cfg.adam_eps
+                        np.sqrt(v[name] / bc2) + ADAM_EPS
                     )
 
         # bitwise identical forward predictions
