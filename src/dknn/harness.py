@@ -491,9 +491,12 @@ def _split_hash(train_set: Dataset, test_set: Dataset) -> int:
     return fnv1a64("\x1e".join(parts))
 
 
-def _run_repeat(cfg: ExperimentConfig, rows: list[RowSpec], r: int) -> list[float]:
-    """Accuracies for every row of repeat r (1-based). Paired discipline:
-    the split/noise/train seeds depend only on (master seed, r)."""
+def _run_repeat(
+    cfg: ExperimentConfig, rows: list[RowSpec], r: int
+) -> tuple[int, list[float]]:
+    """The split hash of repeat r (1-based) and the accuracy of every row.
+    Paired discipline: the split/noise/train seeds depend only on
+    (master seed, r)."""
     split_seed = cfg.seed + r
     train_seed = split_seed ^ TAG_TRAIN
     base_train, base_test = split(cfg.dataset, cfg.train_ratio, split_seed)
@@ -541,7 +544,7 @@ def _run_repeat(cfg: ExperimentConfig, rows: list[RowSpec], r: int) -> list[floa
                 )
                 hits += int(breakdown.label == gold)
             accuracies.append(hits / test_set.n)
-    return accuracies
+    return _split_hash(base_train, base_test), accuracies
 
 
 def _worker_count(repeats: int) -> int:
@@ -567,13 +570,9 @@ def _execute(cfg: ExperimentConfig, rows: list[RowSpec]) -> ExperimentReport:
 
     report_rows = []
     for i, row in enumerate(rows):
-        values = [per_repeat[r][i] for r in range(cfg.repeats)]
+        values = [accuracies[i] for _, accuracies in per_repeat]
         report_rows.append(_row_stats(row.config_id, values))
 
-    split_hashes = []
-    for r in repeat_ids:
-        tr, te = split(cfg.dataset, cfg.train_ratio, cfg.seed + r)
-        split_hashes.append(f"{_split_hash(tr, te):016x}")
     meta = {
         "seed": cfg.seed,
         "repeats": cfg.repeats,
@@ -581,7 +580,7 @@ def _execute(cfg: ExperimentConfig, rows: list[RowSpec]) -> ExperimentReport:
         "dataset_size": cfg.dataset.n,
         "num_labels": cfg.dataset.num_labels,
         "noise_ratio": cfg.noise_ratio,
-        "split_hashes": split_hashes,
+        "split_hashes": [f"{split_hash:016x}" for split_hash, _ in per_repeat],
     }
     return ExperimentReport(
         rows=report_rows, meta=meta, wall_clock=time.monotonic() - started

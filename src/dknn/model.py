@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, write_atomic
+from .artifacts import pack_blocks, read_artifact, unpack_blocks, write_atomic
 from .exceptions import CorruptArtifactError, ValidationError
 from .mathcore import CE_EPS, KL_EPS, softmax_rows
 
@@ -85,6 +85,8 @@ class ModelParams:
         c = self.w2.shape[1]
         if self.b1.shape != (d,) or self.w2.shape != (d, c) or self.b2.shape != (c,):
             raise ValueError("inconsistent parameter shapes")
+        if c == 0:
+            raise ValueError("a model needs at least one class")
         if self.label_emb.shape != (c, d):
             raise ValueError(
                 f"label_emb shape {self.label_emb.shape} != ({c}, {d})"
@@ -410,25 +412,21 @@ def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> Mode
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
-_HEADER = struct.Struct("<4sHIII")
+_HEADER = struct.Struct("<4sHIII")  # magic, version, F, d, c
+
+
+def _layout(fields: tuple) -> list[tuple]:
+    """The f32 blocks w1 (F,d), b1 (d), w2 (d,c), b2 (c), label_emb (c,d)."""
+    f, d, c = fields
+    return [("<f4", shape) for shape in ((f, d), (d,), (d, c), (c,), (c, d))]
 
 
 def checkpoint_bytes(params: ModelParams) -> bytes:
     """Serialize params: magic, u16 version, u32 F/d/c, then f32 LE blocks
     w1, b1, w2, b2, label_emb in row-major order."""
     params.validate()
-    parts = [
-        _HEADER.pack(
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
-            params.feature_dim,
-            params.embed_dim,
-            params.n_classes,
-        )
-    ]
-    for arr in (params.w1, params.b1, params.w2, params.b2, params.label_emb):
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    fields = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *params.w1.shape, params.n_classes)
+    return pack_blocks(_HEADER, fields, [("<f4", a) for a in params.tensors().values()])
 
 
 def model_fingerprint(params: ModelParams) -> int:
@@ -446,35 +444,9 @@ def load_checkpoint(path) -> ModelParams:
 
 
 def params_from_bytes(blob: bytes, source: str = "<bytes>") -> ModelParams:
-    if len(blob) < _HEADER.size:
-        raise CorruptArtifactError(f"{source}: truncated checkpoint header")
-    magic, version, f, d, c = _HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise CorruptArtifactError(f"{source}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise CorruptArtifactError(f"{source}: unsupported version {version}")
-    counts = [f * d, d, d * c, c, c * d]
-    expected = _HEADER.size + 4 * sum(counts)
-    if len(blob) != expected:
-        raise CorruptArtifactError(
-            f"{source}: size {len(blob)} != expected {expected} bytes"
-        )
-    offset = _HEADER.size
-    arrays = []
-    for count in counts:
-        arrays.append(
-            np.frombuffer(blob, dtype="<f4", count=count, offset=offset).astype(
-                np.float64
-            )
-        )
-        offset += 4 * count
-    params = ModelParams(
-        w1=arrays[0].reshape(f, d),
-        b1=arrays[1],
-        w2=arrays[2].reshape(d, c),
-        b2=arrays[3],
-        label_emb=arrays[4].reshape(c, d),
-    )
+    _, arrays = unpack_blocks(blob, source, "checkpoint", _HEADER, CHECKPOINT_MAGIC,
+                              CHECKPOINT_VERSION, _layout)
+    params = ModelParams(*(a.astype(np.float64) for a in arrays))
     try:
         params.validate()
     except ValueError as exc:

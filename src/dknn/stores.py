@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_artifact, write_atomic
+from .artifacts import pack_blocks, read_artifact, unpack_blocks, write_atomic
 from .exceptions import ArtifactMismatchError, CorruptArtifactError, ValidationError
 from .features import Featurizer
 from .mathcore import KL_EPS, is_distribution, sharpen
@@ -35,7 +35,7 @@ from .model import ModelParams, forward_batch, load_checkpoint, model_fingerprin
 STORE_MAGIC = b"DKNS"
 STORE_VERSION = 1
 
-_HEADER = struct.Struct("<4sHBIIIQ")
+_HEADER = struct.Struct("<4sHBIIIQ")  # magic, version, metric, dim, N, c, fingerprint
 
 
 class StoreMetric(IntEnum):
@@ -489,19 +489,16 @@ def _require_store(
 # persistence
 
 
+def _layout(fields: tuple) -> list[tuple]:
+    """N*dim f32 keys row-major, then N u32 labels."""
+    _metric, dim, n, _c, _fingerprint = fields
+    return [("<f4", (n, dim)), ("<u4", (n,))]
+
+
 def store_bytes(store: RepresentationStore) -> bytes:
-    header = _HEADER.pack(
-        STORE_MAGIC,
-        STORE_VERSION,
-        int(store.metric),
-        store.dim,
-        store.n,
-        store.n_classes,
-        store.fingerprint,
-    )
-    return header + store.keys.astype("<f4").tobytes() + store.labels.astype(
-        "<u4"
-    ).tobytes()
+    fields = (STORE_MAGIC, STORE_VERSION, int(store.metric), store.dim, store.n,
+              store.n_classes, store.fingerprint)
+    return pack_blocks(_HEADER, fields, [("<f4", store.keys), ("<u4", store.labels)])
 
 
 def save_store(store: RepresentationStore, path) -> None:
@@ -509,26 +506,12 @@ def save_store(store: RepresentationStore, path) -> None:
 
 
 def load_store(path) -> RepresentationStore:
-    blob = read_artifact(path, "store")
-    if len(blob) < _HEADER.size:
-        raise CorruptArtifactError(f"{path}: truncated store header")
-    magic, version, metric, dim, n, c, fingerprint = _HEADER.unpack_from(blob)
-    if magic != STORE_MAGIC:
-        raise CorruptArtifactError(f"{path}: bad magic {magic!r}")
-    if version != STORE_VERSION:
-        raise CorruptArtifactError(f"{path}: unsupported version {version}")
-    if metric not in (0, 1):
-        raise CorruptArtifactError(f"{path}: unknown metric tag {metric}")
-    expected = _HEADER.size + 4 * n * dim + 4 * n
-    if len(blob) != expected:
-        raise CorruptArtifactError(f"{path}: size {len(blob)} != expected {expected}")
-    offset = _HEADER.size
-    keys = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
-    offset += 4 * n * dim
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset)
-    try:
-        return RepresentationStore(keys, labels, StoreMetric(metric), c, fingerprint)
-    except ValidationError as exc:
+    fields, (keys, labels) = unpack_blocks(read_artifact(path, "store"), path, "store",
+                                           _HEADER, STORE_MAGIC, STORE_VERSION, _layout)
+    metric, _dim, _n, c, fingerprint = fields
+    try:  # an unknown metric tag is a ValueError of StoreMetric
+        return RepresentationStore(keys, labels, metric, c, fingerprint)
+    except ValueError as exc:
         raise CorruptArtifactError(f"{path}: {exc}") from exc
 
 

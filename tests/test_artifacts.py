@@ -1,4 +1,5 @@
-"""Atomic artifact writes: a write that fails partway leaves the old file."""
+"""Atomic artifact writes: a write that fails partway leaves the old file.
+Binary artifacts: a file that is not exactly header plus blocks is corrupt."""
 
 import contextlib
 import os
@@ -11,8 +12,10 @@ import pytest
 from dknn import artifacts, cli
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset, ExperimentReport, ReportRow, save_dataset
-from dknn.model import ModelParams, save_checkpoint
-from dknn.stores import RepresentationStore, StoreMetric, save_sidecar, save_store
+from dknn.exceptions import CorruptArtifactError
+from dknn.model import ModelParams, load_checkpoint, save_checkpoint
+from dknn.stores import (RepresentationStore, StoreMetric, load_store, save_sidecar,
+                         save_store)
 from dknn.trainer import EpochRecord, save_history
 
 
@@ -112,3 +115,32 @@ def test_new_file_gets_umask_permissions(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def _damaged(blob: bytes) -> dict[str, bytes]:
+    """Every prefix shorter than ``blob``, ``blob`` plus a byte, and ``blob``
+    with the u16 version after the magic set to 2."""
+    versioned = bytearray(blob)
+    versioned[4:6] = (2).to_bytes(2, "little")
+    cases = {f"prefix-{n}": blob[:n] for n in range(len(blob))}
+    return {**cases, "trailing-byte": blob + b"\0", "version-2": bytes(versioned)}
+
+
+@pytest.mark.parametrize("name, load", [("checkpoint.dknm", load_checkpoint),
+                                        ("store.dkns", load_store)])
+def test_damaged_binary_artifact_is_corrupt(tmp_path, name, load):
+    path = tmp_path / name
+    SAVERS[name](path, 0.25)
+    blob = path.read_bytes()
+    load(path)
+    served = []  # cases that load, or fail without naming the file
+    for case, damaged in _damaged(blob).items():
+        path.write_bytes(damaged)
+        try:
+            load(path)
+        except CorruptArtifactError as exc:
+            if not str(exc).startswith(f"{path}: "):
+                served.append(case)
+        else:
+            served.append(case)
+    assert served == []

@@ -371,6 +371,17 @@ def _lowercase_not_bool(out, tmp_path):
     return _edited_featurizer(out, tmp_path, lambda doc: doc["featurizer"].update(lowercase="no"))
 
 
+def _zero_classes(out, tmp_path):
+    """A well-sized checkpoint with c = 0 (w1 and b1 alone) and a sidecar
+    with no label names."""
+    blob = (out / "checkpoint.dknm").read_bytes()
+    f, d = struct.unpack_from("<II", blob, 6)
+    path = tmp_path / "checkpoint.dknm"
+    path.write_bytes(blob[:14] + struct.pack("<I", 0) + blob[18:18 + 4 * (f * d + d)])
+    return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"] + _edited_featurizer(
+        out, tmp_path, lambda doc: doc.update(label_names=[]))
+
+
 def _swapped_store(out, tmp_path):
     return ["--text-store", str(out / "store_pro.dkns")]
 
@@ -402,12 +413,13 @@ def _store_nan_key(out, tmp_path):
         (_vocabulary_not_strings, 4),
         (_lowercase_not_bool, 4),
         (_swapped_store, 3),
+        (_zero_classes, 4),
     ],
     ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
          "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
          "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
          "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
-         "swapped-store"],
+         "swapped-store", "zero-classes"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace
