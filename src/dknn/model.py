@@ -87,6 +87,8 @@ class ModelParams:
             raise ValueError("inconsistent parameter shapes")
         if c == 0:
             raise ValueError("a model needs at least one class")
+        if d == 0:
+            raise ValueError("a model needs an embedding width of at least one")
         if self.label_emb.shape != (c, d):
             raise ValueError(
                 f"label_emb shape {self.label_emb.shape} != ({c}, {d})"

@@ -3,11 +3,14 @@
 Two stores are built from the training set by one forward pass: text
 embeddings under L2 distance and predicted distributions under KL
 divergence (stored key first, query second). Inference retrieves the exact
-top-k neighbors from each store: candidates from one matrix-vector product
-over all keys, then an exact rerank of the candidates with the distance
-kernel of ``RepresentationStore.distances``. It turns them into label
-distributions via softmax over negative distances, sharpens each, averages
-the two, and interpolates with the model's own prediction.
+top-k neighbors from each store, for a block of queries at a time. An L2
+store takes candidates from one float32 matrix product of the block with
+all keys and reranks them exactly with the distance kernel of
+``RepresentationStore.distances``; a KL store ranks that kernel's full
+distance vector, one matrix-vector product per query. Inference turns the
+neighbors into label distributions via softmax over negative distances,
+sharpens each, averages the two, and interpolates with the model's own
+prediction.
 
 Store file format "DKNS" v1 (little-endian, no padding):
 magic 4s | u16 version | u8 metric (0=L2, 1=KL) | u32 dim | u32 N | u32 c |
@@ -30,7 +33,13 @@ from .artifacts import pack_blocks, read_artifact, unpack_blocks, write_atomic
 from .exceptions import ArtifactMismatchError, CorruptArtifactError, ValidationError
 from .features import Featurizer
 from .mathcore import KL_EPS, is_distribution, sharpen
-from .model import ModelParams, forward_batch, load_checkpoint, model_fingerprint
+from .model import (
+    FORWARD_BLOCK,
+    ModelParams,
+    forward_batch,
+    load_checkpoint,
+    model_fingerprint,
+)
 
 STORE_MAGIC = b"DKNS"
 STORE_VERSION = 1
@@ -92,6 +101,17 @@ def _l2_rows(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
 # so an L2 query ranks every key instead.
 _F32_SAFE = 2.0**120
 
+# Most bytes that one block of L2 queries holds in its (rows, N) float32
+# scan and the copy that np.partition makes of it, together.
+SEARCH_BLOCK_BYTES = 2 << 20
+
+
+def search_block_rows(n: int) -> int:
+    """Queries per search block for a store of n keys: at most FORWARD_BLOCK,
+    and few enough that the block's two (rows, n) float32 arrays fit
+    SEARCH_BLOCK_BYTES, but at least one."""
+    return max(1, min(FORWARD_BLOCK, SEARCH_BLOCK_BYTES // (8 * max(n, 1))))
+
 
 class RepresentationStore:
     """Immutable key/label memory extracted from the training set.
@@ -132,7 +152,7 @@ class RepresentationStore:
             self._sq_max = float(sq.max(initial=0.0))
             scan = np.empty((keys.shape[0], keys.shape[1] + 1), dtype=np.float32)
             scan[:, :-1] = keys
-            # clipped norms belong to stores that _l2_candidates never scans
+            # clipped norms belong to stores whose queries skip the scan
             scan[:, -1] = np.minimum(sq, _F32_SAFE)
             self._l2_scan = scan
             keys = scan[:, :-1]
@@ -200,28 +220,51 @@ def build_stores(
     return s_text, s_pro
 
 
-def query(store: RepresentationStore, q: np.ndarray, k: int) -> list[Neighbor]:
+def query(store: RepresentationStore, q: np.ndarray,
+          k: int) -> list[Neighbor] | list[list[Neighbor]]:
     """Exact top-k by ascending (distance, store index).
 
-    Returns min(k, N) neighbors with the distances of
-    ``store.distances(q)``, bit for bit; ties on distance resolve to the
-    lower store index. A KL store ranks its full distance vector, one GEMV.
-    An L2 store takes candidates from one float32 GEMV, widened by a
+    ``q`` is one (dim,) query, answered with a ``list[Neighbor]``, or a
+    (B, dim) block, answered with one such list per row. Each list holds
+    min(k, N) neighbors with the distances of ``store.distances`` of its
+    row, bit for bit; ties on distance resolve to the lower store index, and
+    a row's answer does not depend on the rest of its block. A KL store
+    ranks each row's full distance vector, one GEMV per row. An L2 store
+    splits the block into blocks of ``search_block_rows(N)`` rows, takes
+    candidates for each from one float32 GEMM, widened per row by a
     floating-point error bound, and reranks them with the L2 kernel.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if store.n == 0:
         raise ValidationError("store is empty")
+    rows = np.asarray(q, dtype=np.float64)
+    single = rows.ndim == 1
+    if single:
+        rows = rows[None]
+    if rows.ndim != 2 or rows.shape[1] != store.dim:
+        raise ValidationError(
+            f"query dim {np.shape(q)} does not match store dim {store.dim}"
+        )
     limit = min(k, store.n)
+    found = []
     if store.metric == StoreMetric.KL:
-        dist = store.distances(q)
-        idx = _at_most(dist, _kth_smallest(dist, limit))
-        dist = dist[idx]
+        for row in rows:
+            dist = store.distances(row)
+            idx = _at_most(dist, _kth_smallest(dist, limit))
+            found.append(_neighbors(store, idx, dist[idx], limit))
     else:
-        qv = store._checked_query(q)
-        idx = _l2_candidates(store, qv, limit)
-        dist = _l2_rows(store.keys[idx], qv)
+        step = search_block_rows(store.n)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            for row, idx in zip(block, _l2_candidates(store, block, limit)):
+                found.append(_neighbors(store, idx, _l2_rows(store.keys[idx], row), limit))
+    return found[0] if single else found
+
+
+def _neighbors(store: RepresentationStore, idx: np.ndarray, dist: np.ndarray,
+               limit: int) -> list[Neighbor]:
+    """The first ``limit`` candidates by (distance, index)."""
     order = np.lexsort((idx, dist))[:limit]
     idx = idx[order]
     # positional arguments: keywords double the cost of each Neighbor
@@ -248,22 +291,34 @@ def _at_most(values: np.ndarray, bound: float) -> np.ndarray:
     return np.flatnonzero(values <= bound)
 
 
-def _l2_candidates(store: RepresentationStore, q: np.ndarray, k: int) -> np.ndarray:
-    """Indices, ascending, of a superset of the exact top k of an L2 store.
+def _l2_candidates(store: RepresentationStore, rows: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each float64 query row of a block, the indices, ascending, of a
+    superset of its exact top k in an L2 store.
 
-    One float32 GEMV of the scan matrix ``[k | ||k||^2]`` against
-    ``[-2q | 1]`` gives t ~ ||k||^2 - 2 k.q for every key; the candidates are
-    the keys with t within ``_l2_bound`` of the k-th smallest t. A query
-    too large for float32 (or not finite) makes every key a candidate."""
-    qq = float(q @ q)
-    norms = 2.0 * store._sq_max + qq
-    if not norms < _F32_SAFE:
-        return np.arange(store.n)
-    qa = np.empty(store.dim + 1, dtype=np.float32)
-    qa[:-1] = -2.0 * q
-    qa[-1] = 1.0
-    t = store._l2_scan @ qa
-    return _at_most(t, _l2_bound(_kth_smallest(t, k), qq, norms, store.dim))
+    One float32 GEMM of the rows ``[fl32(-2q) | 1]`` against the scan matrix
+    ``[k | ||k||^2]`` gives t ~ ||k||^2 - 2 k.q for every key and row, and
+    one ``np.partition`` each row's k-th smallest t; a row's candidates are
+    the keys with t within ``_l2_bound`` of it. A row too large for float32
+    (or not finite) scans as zeros, uncast, and makes every key a candidate."""
+    n = store.n
+    qq = [float(q @ q) for q in rows]
+    norms = [2.0 * store._sq_max + x for x in qq]
+    safe = [m < _F32_SAFE for m in norms]
+    qa = np.empty((len(rows), store.dim + 1), dtype=np.float32)
+    qa[:, -1] = 1.0
+    if not all(safe):  # such rows scan as zeros, uncast: float32 would overflow
+        mask = np.array(safe)
+        rows = np.where(mask[:, None], rows, 0.0)
+        qa[:, -1] = mask
+    qa[:, :-1] = -2.0 * rows
+    # one row: an sgemv, which cost a served text 3% less than a 1-row sgemm
+    # (OpenBLAS 0.3, one thread); _l2_bound holds for either kernel
+    t = (store._l2_scan @ qa[0])[None] if len(qa) == 1 else qa @ store._l2_scan.T
+    kth = np.partition(t, k - 1, axis=1)[:, k - 1].tolist() if k < n else [np.inf] * len(rows)
+    return [
+        _at_most(t_i, _l2_bound(kth_i, qq_i, norms_i, store.dim)) if ok else np.arange(n)
+        for t_i, kth_i, qq_i, norms_i, ok in zip(t, kth, qq, norms, safe)
+    ]
 
 
 _U32 = 2.0**-24  # unit roundoff of float32
@@ -393,11 +448,13 @@ def iter_predictions(
     """Breakdowns of every text, in order, made one at a time.
 
     The config and stores are checked, and the texts featurized and run
-    through forward_batch, before this returns; each text is then searched
-    when its breakdown is asked for. Each breakdown equals ``predict`` of
-    its text alone, bit for bit. A caller that drops each breakdown before
-    asking for the next, as ``dknn predict`` does, holds one at a time: a
-    long ``--file`` then piles up no neighbor lists for the garbage
+    through forward_batch, before this returns. The texts are then searched
+    in blocks of ``search_block_rows(N)`` rows of the text store: each
+    enabled store gets one ``query`` call per block, made when the block's
+    first breakdown is asked for. Each breakdown equals ``predict`` of its
+    text alone, bit for bit. A caller that drops each breakdown before
+    asking for the next, as ``dknn predict`` does, holds at most one block
+    of neighbor lists: a long ``--file`` then piles up none for the garbage
     collector to promote and rescan.
 
     With one kNN module disabled the combined distribution is the remaining
@@ -414,25 +471,39 @@ def iter_predictions(
     if cfg.use_pro_knn:
         _require_store(pro_store, StoreMetric.KL, params, fingerprint, "pro")
     h, p = forward_batch(featurizer.transform_rows(texts), params)
-    return (_predict_row(h_i, p_i, text_store, pro_store, cfg) for h_i, p_i in zip(h, p))
+    return _predict_blocks(h, p, text_store, pro_store, cfg)
 
 
-def _predict_row(
+def _predict_blocks(
     h: np.ndarray,
-    p_model: np.ndarray,
+    p: np.ndarray,
     text_store: RepresentationStore | None,
     pro_store: RepresentationStore | None,
     cfg: InferenceConfig,
+) -> Iterator[PredictionBreakdown]:
+    """Search each block of forward rows, then yield its breakdowns."""
+    step = search_block_rows(text_store.n if cfg.use_text_knn else 0)
+    for lo in range(0, len(h), step):
+        p_block = p[lo:lo + step]
+        unused = [None] * len(p_block)
+        text_found = query(text_store, h[lo:lo + step], cfg.k) if cfg.use_text_knn else unused
+        pro_found = query(pro_store, p_block, cfg.k) if cfg.use_pro_knn else unused
+        for row in zip(p_block, text_found, pro_found):
+            yield _breakdown(*row, cfg)
+
+
+def _breakdown(
+    p_model: np.ndarray,
+    text_neighbors: list[Neighbor] | None,
+    pro_neighbors: list[Neighbor] | None,
+    cfg: InferenceConfig,
 ) -> PredictionBreakdown:
-    """Search, combine and interpolate for one row of the forward."""
+    """Combine and interpolate for one row of the forward and its neighbors."""
     c = len(p_model)
     p_text_sharp = p_pro_sharp = None
-    text_neighbors = pro_neighbors = None
-    if cfg.use_text_knn:
-        text_neighbors = query(text_store, h, cfg.k)
+    if text_neighbors is not None:
         p_text_sharp = sharpen(neighbor_distribution(text_neighbors, c))
-    if cfg.use_pro_knn:
-        pro_neighbors = query(pro_store, p_model, cfg.k)
+    if pro_neighbors is not None:
         p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, c))
 
     if p_text_sharp is not None and p_pro_sharp is not None:

@@ -382,6 +382,16 @@ def _zero_classes(out, tmp_path):
         out, tmp_path, lambda doc: doc.update(label_names=[]))
 
 
+def _zero_width(out, tmp_path):
+    """A well-sized checkpoint with d = 0: b2 alone, every other block empty."""
+    blob = (out / "checkpoint.dknm").read_bytes()
+    f, d, c = struct.unpack_from("<III", blob, 6)
+    b2 = 18 + 4 * (f * d + d + d * c)
+    path = tmp_path / "checkpoint.dknm"
+    path.write_bytes(blob[:10] + struct.pack("<I", 0) + blob[14:18] + blob[b2:b2 + 4 * c])
+    return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"]
+
+
 def _swapped_store(out, tmp_path):
     return ["--text-store", str(out / "store_pro.dkns")]
 
@@ -414,12 +424,13 @@ def _store_nan_key(out, tmp_path):
         (_lowercase_not_bool, 4),
         (_swapped_store, 3),
         (_zero_classes, 4),
+        (_zero_width, 4),
     ],
     ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
          "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
          "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
          "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
-         "swapped-store", "zero-classes"],
+         "swapped-store", "zero-classes", "zero-width"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from dknn.exceptions import (
     CorruptArtifactError,
     ValidationError,
 )
+from dknn import stores
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
-from dknn.model import ModelParams, classify, encode, model_fingerprint
+from dknn.model import FORWARD_BLOCK, ModelParams, classify, encode, model_fingerprint
 from dknn.rng import Rng
 from oracles import heap_query, kl_divergence, loop_neighbor_distribution
 from dknn.stores import (
+    SEARCH_BLOCK_BYTES,
     InferenceConfig,
     Neighbor,
     RepresentationStore,
@@ -29,6 +33,7 @@ from dknn.stores import (
     predict,
     query,
     save_store,
+    search_block_rows,
     store_bytes,
 )
 from dknn.stores import _f32_ceiling, _l2_candidates
@@ -246,6 +251,37 @@ def l2_scale_cases(draw):
     return store, q, draw(st.integers(1, n + 2))
 
 
+@st.composite
+def block_cases(draw):
+    """A store, a (B, dim) block of queries and a k, with B in {1, 2, 63,
+    300} (more than one search block) and N from 1 to k - 1, k, or 2,000.
+    Keys sit on a coarse integer grid with duplicate rows, so ties fall at
+    the k-th boundary. An L2 block may hold one row too large for float32."""
+    metric = draw(st.sampled_from([StoreMetric.L2, StoreMetric.KL]))
+    k = draw(st.integers(2, 20))
+    n = draw(st.one_of(st.integers(1, k - 1), st.just(k), st.just(2000)))
+    b = draw(st.sampled_from([1, 2, 63, 300]))
+    dim = draw(st.integers(1, 8))
+    top = draw(st.integers(1, 3))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    keys = np.floor(rng.uniforms(n * dim) * (top + 1)).reshape(n, dim)
+    keys[rng.uniforms(n) < 0.2] = keys[0]
+    qs = keys[np.floor(rng.uniforms(b) * n).astype(int)]
+    qs[rng.uniforms(b) < 0.5] += 0.5  # half the rows off the grid
+    if metric == StoreMetric.L2:
+        offset = draw(st.sampled_from([0.0, -3.0, 1e4]))
+        step = draw(st.sampled_from([1.0, 0.25, 2.0**-10]))
+        keys = offset + step * keys
+        qs = offset + step * qs
+        if draw(st.booleans()):
+            qs[draw(st.integers(0, b - 1))] *= draw(st.sampled_from([1e30, 1e39]))
+    else:
+        keys = (keys + 1.0) / (keys + 1.0).sum(axis=1, keepdims=True)
+        qs = (qs + 1.0) / (qs + 1.0).sum(axis=1, keepdims=True)
+    labels = np.floor(rng.uniforms(n) * 4).astype(np.uint32)
+    return RepresentationStore(keys, labels, metric, 4, 0), qs, k
+
+
 class TestSearchMatchesHeapScan:
     @given(search_cases())
     @settings(max_examples=400, deadline=None)
@@ -321,8 +357,67 @@ class TestSearchMatchesHeapScan:
         store = RepresentationStore(np.tanh(rng.normals(n * dim).reshape(n, dim)),
                                     np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
         queries = np.tanh(rng.normals(30 * dim).reshape(30, dim))
-        for q in list(queries) + [store.keys[i].astype(np.float64) for i in range(10)]:
-            assert _l2_candidates(store, q, k).size < 2 * k
+        queries = np.vstack([queries, store.keys[:10].astype(np.float64)])
+        for idx in _l2_candidates(store, queries, k):
+            assert idx.size < 2 * k
+
+    @given(block_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_heap_scan_per_row(self, case):
+        store, qs, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = query(store, qs, k)
+        assert [_bits(row) for row in got] == [_bits(heap_query(store, q, k)) for q in qs]
+
+    @pytest.mark.parametrize("scale", [1e30, 1e39, np.inf, np.nan])
+    def test_out_of_range_row_leaves_its_block_alone(self, scale):
+        """A row past float32's range scans as zeros and ranks every key; the
+        other rows of its block keep their answers, and nothing warns."""
+        store = random_store(Rng(31), 500, 6, 3, StoreMetric.L2)
+        qs = Rng(32).normals(5 * 6).reshape(5, 6)
+        qs[2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = query(store, qs, 7)
+            alone = query(store, qs[2], 7)
+        assert len(got) == 5 and _bits(got[2]) == _bits(alone)
+        rows = [0, 1, 3, 4] if np.isnan(scale) else range(5)
+        assert all(_bits(got[i]) == _bits(heap_query(store, qs[i], 7)) for i in rows)
+
+    def test_search_holds_no_scan_above_the_block_budget(self):
+        """256 queries over 2^15 keys would scan a 32 MiB (B, N) float32
+        matrix in one block; split by search_block_rows, a block's scan and
+        its partitioned copy stay within SEARCH_BLOCK_BYTES together."""
+        n, dim, b = 1 << 15, 4, 256
+        rng = Rng(33)
+        store = RepresentationStore(rng.normals(n * dim).reshape(n, dim),
+                                    np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
+        qs = rng.normals(b * dim).reshape(b, dim)
+        assert b * n * 4 >= 4 * SEARCH_BLOCK_BYTES and search_block_rows(n) < b
+        tracemalloc.start()
+        try:
+            got = query(store, qs, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * SEARCH_BLOCK_BYTES
+        assert [len(row) for row in got] == [5] * b
+
+    def test_block_rows_keep_the_scan_within_budget(self):
+        assert search_block_rows(0) == search_block_rows(1) == FORWARD_BLOCK
+        assert search_block_rows(1 << 15) == SEARCH_BLOCK_BYTES // (8 << 15)
+        assert search_block_rows(SEARCH_BLOCK_BYTES) == 1
+        for n in (1, 999, 8000, 1 << 15, 10**6):
+            assert search_block_rows(n) * n * 8 <= max(SEARCH_BLOCK_BYTES, 8 * n)
+
+    @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
+    def test_block_query_shape_checks(self, metric):
+        store = random_store(Rng(34), 5, 3, 2, metric)
+        assert query(store, np.zeros((0, 3)), 2) == []
+        for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3)), np.float64(0.5)):
+            with pytest.raises(ValidationError):
+                query(store, bad, 2)
 
     @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
     def test_keys_are_held_once_as_float32(self, metric):
@@ -416,6 +511,20 @@ class TestCombineInterpolate:
     def test_lambda_out_of_range(self):
         with pytest.raises(ValidationError):
             interpolate(np.array([1.0]), np.array([1.0]), 1.5)
+
+
+def assert_same_breakdown(got, want):
+    """Every distribution bit for bit (signs of zeros too), the label and
+    both neighbor lists, as ``dknn predict --explain`` prints them."""
+    for name in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b) and np.array_equal(
+                np.signbit(a), np.signbit(b)), name
+    assert got.label == want.label
+    assert got.text_neighbors == want.text_neighbors
+    assert got.pro_neighbors == want.pro_neighbors
 
 
 def build_fixture(n=6, c=2):
@@ -534,17 +643,33 @@ class TestPredict:
         many = list(iter_predictions(texts, params, feat, s_text, s_pro, cfg))
         assert len(many) == len(texts)
         for text, got in zip(texts, many, strict=True):
-            want = predict(text, params, feat, s_text, s_pro, cfg)
-            for name in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a is None) == (b is None), name
-                if a is not None:
-                    assert np.array_equal(a, b) and np.array_equal(
-                        np.signbit(a), np.signbit(b)), name
-            assert got.label == want.label
-            assert got.text_neighbors == want.text_neighbors
-            assert got.pro_neighbors == want.pro_neighbors
+            assert_same_breakdown(got, predict(text, params, feat, s_text, s_pro, cfg))
         assert list(iter_predictions([], params, feat, s_text, s_pro, cfg)) == []
+
+    @pytest.mark.parametrize(
+        "text_knn, pro_knn", [(True, True), (True, False), (False, True)]
+    )
+    def test_blocks_of_iter_predictions_equal_predict_per_text(
+            self, monkeypatch, text_knn, pro_knn):
+        """Two rows per search block of a text store: eleven texts make six
+        blocks, each searched by one query call per enabled store. Without
+        the text store there is no (B, N) scan and one block of eleven."""
+        params, feat, ds, s_text, s_pro = build_fixture()
+        texts = ds.texts + ["", "apple tiger melon", "pear lion", "zebra plum", "grape"]
+        cfg = InferenceConfig(k=4, lam=0.3, use_text_knn=text_knn, use_pro_knn=pro_knn)
+        want = [predict(text, params, feat, s_text, s_pro, cfg) for text in texts]
+        monkeypatch.setattr(stores, "SEARCH_BLOCK_BYTES", 2 * 8 * s_text.n)
+        blocks = []
+        monkeypatch.setattr(stores, "query",
+                            lambda store, q, k: blocks.append(len(q)) or query(store, q, k))
+        got = iter_predictions(texts, params, feat, s_text, s_pro, cfg)
+        assert blocks == []
+        assert_same_breakdown(next(got), want[0])
+        sizes = [2, 2, 2, 2, 2, 1] if text_knn else [11]
+        assert blocks == [sizes[0]] * (text_knn + pro_knn)
+        for a, b in zip(got, want[1:], strict=True):
+            assert_same_breakdown(a, b)
+        assert blocks == [n for n in sizes for _ in range(text_knn + pro_knn)]
 
     def test_iter_predictions_checks_stores_before_it_returns(self):
         params, feat, ds, s_text, s_pro = build_fixture()
