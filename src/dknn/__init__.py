@@ -27,7 +27,7 @@ from .harness import (
     split,
     sweep,
 )
-from .mathcore import is_distribution, sharpen, softmax
+from .mathcore import is_distribution, sharpen
 from .model import (
     Gradients,
     LLConfig,
@@ -35,11 +35,9 @@ from .model import (
     ModelParams,
     classify,
     encode,
-    gradients,
     load_checkpoint,
     model_fingerprint,
     save_checkpoint,
-    total_loss,
 )
 from .rng import Rng
 from .stores import (

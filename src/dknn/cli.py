@@ -12,8 +12,7 @@ unrelated streams of the same user seed.
 
 Exit codes: 0 success, 2 usage/validation error or a file that cannot be
 read or written, 3 inconsistent artifacts (e.g. stale store fingerprint),
-4 corrupt file. The environment variable DKNN_THREADS caps worker
-parallelism for repeated experiments.
+4 corrupt file.
 """
 
 from __future__ import annotations

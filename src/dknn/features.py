@@ -66,21 +66,6 @@ def take_rows(
     return new_ptr, cols[pos], vals[pos]
 
 
-def densify(
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    dim: int,
-    idx: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense float64 block of the CSR rows ``idx`` (default: all), in that
-    order: ``densify(rows, dim, idx)`` equals ``densify(rows, dim)[idx]``."""
-    if idx is None:
-        idx = np.arange(len(rows[0]) - 1)
-    row_ptr, cols, vals = take_rows(rows, idx)
-    out = np.zeros((len(row_ptr) - 1, dim), dtype=np.float64)
-    out[np.repeat(np.arange(len(out)), np.diff(row_ptr)), cols] = vals
-    return out
-
-
 @dataclass
 class FeaturizerConfig:
     mode: str = "hashing"  # "hashing" | "tfidf"
@@ -168,7 +153,10 @@ class Featurizer:
 
     def transform_many(self, texts: list[str]) -> np.ndarray:
         """Stack of transform() rows, shape (len(texts), dim)."""
-        return densify(self.transform_rows(texts), self.dim)
+        row_ptr, cols, vals = self.transform_rows(texts)
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        out[np.repeat(np.arange(len(texts)), np.diff(row_ptr)), cols] = vals
+        return out
 
     def to_dict(self) -> dict:
         d = {
@@ -208,25 +196,24 @@ class Featurizer:
         return cls(cfg)
 
 
-def fit_featurizer(corpus: list[str], config: FeaturizerConfig | None = None) -> Featurizer:
+def fit_featurizer(corpus: list[str], config: FeaturizerConfig) -> Featurizer:
     """Build a featurizer. Hashing ignores the corpus; tf-idf fits df/idf on it.
 
     tf-idf uses idf_t = ln((1+N)/(1+df_t)) + 1 with the vocabulary sorted
     lexicographically for determinism.
     """
-    cfg = config or FeaturizerConfig()
-    cfg.validate()
-    if cfg.mode == "hashing":
-        return Featurizer(cfg)
+    config.validate()
+    if config.mode == "hashing":
+        return Featurizer(config)
     if not corpus:
         raise ValidationError("tfidf featurizer requires a non-empty corpus")
     df: dict[str, int] = {}
     for text in corpus:
-        for tok in set(tokenize(text, cfg.lowercase)):
+        for tok in set(tokenize(text, config.lowercase)):
             df[tok] = df.get(tok, 0) + 1
     vocab = {tok: i for i, tok in enumerate(sorted(df))}
     n_docs = len(corpus)
     idf = np.empty(len(vocab), dtype=np.float64)
     for tok, i in vocab.items():
         idf[i] = np.log((1.0 + n_docs) / (1.0 + df[tok])) + 1.0
-    return Featurizer(cfg, vocab, idf)
+    return Featurizer(config, vocab, idf)

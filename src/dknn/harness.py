@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from pathlib import Path
@@ -106,9 +104,16 @@ def _read_records(path: Path, raw: io.BytesIO, fmt: str) -> list[tuple[str, str,
                 raise ValidationError(
                     f"{path}:{lineno}: record must have 'text' and 'label'"
                 )
-            coarse = obj.get("coarse")
-            records.append((str(obj["text"]), str(obj["label"]),
-                            None if coarse is None else str(coarse)))
+            text, label, coarse = obj["text"], obj["label"], obj.get("coarse")
+            if type(text) is not str:
+                raise ValidationError(f"{path}:{lineno}: 'text' must be a string")
+            for key, value in (("label", label), ("coarse", coarse)):
+                # bool is an int subclass, so the types are compared exactly
+                if type(value) not in (str, int) and (key == "label" or value is not None):
+                    raise ValidationError(
+                        f"{path}:{lineno}: '{key}' must be a string or an integer"
+                    )
+            records.append((text, str(label), None if coarse is None else str(coarse)))
     else:
         reader = csv.reader(io.TextIOWrapper(raw, encoding="utf-8", newline=""))
         try:
@@ -547,26 +552,10 @@ def _run_repeat(
     return _split_hash(base_train, base_test), accuracies
 
 
-def _worker_count(repeats: int) -> int:
-    raw = os.environ.get("DKNN_THREADS", "1")
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        limit = 1
-    return min(limit, repeats)
-
-
 def _execute(cfg: ExperimentConfig, rows: list[RowSpec]) -> ExperimentReport:
     cfg.validate()
     started = time.monotonic()
-    repeat_ids = list(range(1, cfg.repeats + 1))
-    workers = _worker_count(cfg.repeats)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_repeat = list(pool.map(_run_repeat, [cfg] * len(repeat_ids),
-                                       [rows] * len(repeat_ids), repeat_ids))
-    else:
-        per_repeat = [_run_repeat(cfg, rows, r) for r in repeat_ids]
+    per_repeat = [_run_repeat(cfg, rows, r) for r in range(1, cfg.repeats + 1)]
 
     report_rows = []
     for i, row in enumerate(rows):

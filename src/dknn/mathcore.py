@@ -32,17 +32,8 @@ def is_distribution(p, tol: float = DISTRIBUTION_TOL) -> bool:
     return bool(arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= tol)
 
 
-def softmax(v) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction), shift invariant."""
-    arr = _as_vector(v)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("softmax input must be finite")
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array (batched helper)."""
+    """Numerically stable (max-subtracted) softmax of each row of a 2-D array."""
     e = np.exp(m - m.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

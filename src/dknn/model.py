@@ -142,13 +142,6 @@ class Gradients:
             "label_emb": self.label_emb,
         }
 
-    def dense(self, feature_dim: int) -> ModelParams:
-        """Every gradient as a whole tensor, w1 scattered into (F, d) zeros."""
-        w1 = np.zeros((feature_dim, self.w1.shape[1]))
-        w1[self.w1_rows] = self.w1
-        return ModelParams(w1=w1, b1=self.b1, w2=self.w2, b2=self.b2,
-                           label_emb=self.label_emb)
-
 
 # ---------------------------------------------------------------------------
 # forward operations
@@ -208,19 +201,14 @@ def forward_batch(
     return h, p
 
 
-def _one_row(x: np.ndarray, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dense feature vector as a 1-row CSR batch of its nonzero entries."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (feature_dim,):
-        raise ValueError(f"expected feature vector of length {feature_dim}")
-    cols = np.flatnonzero(x)
-    return np.array([0, len(cols)]), cols, x[cols]
-
-
 def encode(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Text embedding h = tanh(x W1 + b1) of one dense feature vector: the
-    1-row case of forward_batch."""
-    return _embed_rows(*_one_row(x, params.feature_dim), params)[0]
+    1-row case of forward_batch, over the vector's nonzero entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.feature_dim,):
+        raise ValueError(f"expected feature vector of length {params.feature_dim}")
+    cols = np.flatnonzero(x)
+    return _embed_rows(np.array([0, len(cols)]), cols, x[cols], params)[0]
 
 
 def classify(h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -239,7 +227,7 @@ def _mirror(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# loss + analytic gradients (batched core; single-example ops wrap it)
+# loss + analytic gradients of a batch
 
 
 def _live_block(
@@ -247,8 +235,8 @@ def _live_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(live, x)`` for CSR rows: the L distinct columns the rows use,
     ascending, and the dense (B, L) block of the rows over those columns,
-    so ``x`` scattered to columns ``live`` of a (B, F) zero block equals
-    ``features.densify`` of the rows."""
+    so ``x`` scattered to columns ``live`` of a (B, F) zero block is the
+    dense (B, F) block of the rows."""
     row_ptr, cols, vals = rows
     lo, hi = row_ptr[0], row_ptr[-1]
     live, at = np.unique(cols[lo:hi], return_inverse=True)
@@ -262,10 +250,9 @@ def batch_loss_and_gradients(
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
-    with_grads: bool = True,
-) -> tuple[LossBreakdown, Gradients | None]:
+) -> tuple[LossBreakdown, Gradients]:
     """Mean loss over a batch of CSR feature rows ``(row_ptr, cols, vals)``,
-    as forward_batch takes them, and (optionally) its analytic gradients.
+    as forward_batch takes them, and its analytic gradients.
 
     The first layer runs over the batch's L live columns only: z1 is the
     (B, L) block of the rows times those L rows of W1, and dW1 comes back as
@@ -341,8 +328,6 @@ def batch_loss_and_gradients(
     breakdown = LossBreakdown(
         ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
     )
-    if not with_grads:
-        return breakdown, None
 
     # ----- backward -----
     onehot = np.zeros((batch, c))
@@ -393,22 +378,6 @@ def batch_loss_and_gradients(
         label_emb=d_label,
     )
     return breakdown, grads
-
-
-def total_loss(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> LossBreakdown:
-    """Loss components for one dense feature vector; total is their exact fp sum."""
-    breakdown, _ = batch_loss_and_gradients(
-        _one_row(x, params.feature_dim), np.array([int(y)]), params, cfg, with_grads=False
-    )
-    return breakdown
-
-
-def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> ModelParams:
-    """Analytic gradients of total_loss w.r.t. every parameter tensor, whole."""
-    _, grads = batch_loss_and_gradients(
-        _one_row(x, params.feature_dim), np.array([int(y)]), params, cfg
-    )
-    return grads.dense(params.feature_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ search as a plain scan, so tests can check the batched results against an
 independent, obviously-correct form. ``reference_loss_and_gradients`` keeps
 the batched training step in its first, plainest form, and
 ``dense_loss_and_gradients`` keeps it over a dense (B, F) batch, as it ran
-before it went over the batch's live columns.
+before it went over the batch's live columns. ``total_loss`` and
+``gradients`` run the package's batched step on one dense example, so the
+finite-difference and golden-loss checks test the code that trains.
 """
 
 from __future__ import annotations
@@ -19,8 +21,15 @@ import numpy as np
 
 from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
-from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax, softmax_rows
-from dknn.model import LLConfig, LossBreakdown, ModelParams, _mirror
+from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax_rows
+from dknn.model import (
+    Gradients,
+    LLConfig,
+    LossBreakdown,
+    ModelParams,
+    _mirror,
+    batch_loss_and_gradients,
+)
 from dknn.rng import Rng
 from dknn.stores import Neighbor, RepresentationStore
 
@@ -75,6 +84,13 @@ def dense_adam_step(params: dict, grads: dict, m: dict, v: dict, step: int,
 
 # ---------------------------------------------------------------------------
 # label-distribution-learning terms for one example
+
+
+def softmax(v) -> np.ndarray:
+    """Numerically stable softmax of one vector (max-subtraction)."""
+    arr = _as_vector(v)
+    e = np.exp(arr - arr.max())
+    return e / e.sum()
 
 
 def label_attention(h: np.ndarray, label_emb: np.ndarray) -> np.ndarray:
@@ -158,8 +174,7 @@ def reference_loss_and_gradients(
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
-    with_grads: bool = True,
-) -> tuple[LossBreakdown, ModelParams | None]:
+) -> tuple[LossBreakdown, ModelParams]:
     """The batched loss and gradients in their first form: every (B, c, c)
     term built by broadcasting, masked with ``np.where`` and contracted with
     ``einsum``. ``dknn.model.batch_loss_and_gradients`` must match it to
@@ -228,8 +243,6 @@ def reference_loss_and_gradients(
     breakdown = LossBreakdown(
         ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
     )
-    if not with_grads:
-        return breakdown, None
 
     # ----- backward -----
     onehot = np.zeros((batch, c))
@@ -292,13 +305,48 @@ def csr_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row_ptr, cols, x[row_idx, cols]
 
 
+def densify(rows: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int) -> np.ndarray:
+    """Dense float64 (B, dim) block of CSR rows whose row_ptr starts at 0."""
+    row_ptr, cols, vals = rows
+    out = np.zeros((len(row_ptr) - 1, dim), dtype=np.float64)
+    out[np.repeat(np.arange(len(out)), np.diff(row_ptr)), cols] = vals
+    return out
+
+
+def dense_gradients(grads: Gradients, feature_dim: int) -> ModelParams:
+    """Every gradient of a step as a whole tensor, w1 scattered into (F, d)
+    zeros."""
+    w1 = np.zeros((feature_dim, grads.w1.shape[1]))
+    w1[grads.w1_rows] = grads.w1
+    return ModelParams(w1=w1, b1=grads.b1, w2=grads.w2, b2=grads.b2,
+                       label_emb=grads.label_emb)
+
+
+def _one_example(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig):
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.feature_dim,):
+        raise ValueError(f"expected feature vector of length {params.feature_dim}")
+    return batch_loss_and_gradients(csr_rows(x[None, :]), np.array([int(y)]), params, cfg)
+
+
+def total_loss(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> LossBreakdown:
+    """Loss components of one dense feature vector: the 1-row case of
+    ``dknn.model.batch_loss_and_gradients``."""
+    return _one_example(x, y, params, cfg)[0]
+
+
+def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> ModelParams:
+    """Analytic gradients of ``total_loss`` for one dense feature vector, as
+    whole tensors."""
+    return dense_gradients(_one_example(x, y, params, cfg)[1], params.feature_dim)
+
+
 def dense_loss_and_gradients(
     x: np.ndarray,
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
-    with_grads: bool = True,
-) -> tuple[LossBreakdown, ModelParams | None]:
+) -> tuple[LossBreakdown, ModelParams]:
     """The training step over a dense (B, F) batch, as it stood before it went
     over the batch's live columns: z1 = x @ W1 + b1 over all F columns, and
     dW1 as a whole (F, d) tensor, +0.0 outside the columns the batch uses.
@@ -372,8 +420,6 @@ def dense_loss_and_gradients(
     breakdown = LossBreakdown(
         ce=ce, kl=kl, cl=cl, total=ce + kl + cl, active_hinge_fraction=active_fraction
     )
-    if not with_grads:
-        return breakdown, None
 
     # ----- backward -----
     onehot = np.zeros((batch, c))

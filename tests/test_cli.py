@@ -485,6 +485,28 @@ def test_non_utf8_input_exits_2(workspace, tmp_path, case):
     assert "UTF-8" in line
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"text": None, "label": "a"}, "text"),
+        ({"text": "x", "label": ["a"]}, "label"),
+        ({"text": "x", "label": {"z": 1}}, "label"),
+        ({"text": "x", "label": "a", "coarse": True}, "coarse"),
+    ],
+    ids=["text-null", "label-list", "label-dict", "coarse-bool"],
+)
+def test_dataset_field_of_wrong_type_exits_2(workspace, tmp_path, record, field):
+    root, data, out = workspace
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(data.read_text() + json.dumps(record) + "\n")
+    n = len(data.read_text().splitlines()) + 1
+    argv = ["train", "--dataset", str(bad), "--out", str(tmp_path / "run"), "--epochs", "1",
+            "--feature-dim", "64", "--embed-dim", "4"]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert line.startswith(f"error: {bad}:{n}: '{field}' must be")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
 def test_sweep_k_must_be_a_whole_number(workspace, tmp_path, value):
     root, data, out = workspace

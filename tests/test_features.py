@@ -8,13 +8,13 @@ from dknn.features import (
     Featurizer,
     FeaturizerConfig,
     _token_hash,
-    densify,
     fit_featurizer,
     fnv1a64,
+    take_rows,
     tokenize,
 )
 from dknn.rng import Rng
-from oracles import dense_transform
+from oracles import dense_transform, densify
 
 
 class TestFnv1a64:
@@ -215,10 +215,17 @@ class TestTransformRows:
             assert _token_hash.cache_info().hits > hits
 
     def test_densify_selected_rows_in_order(self, featurizer):
-        rows = featurizer.transform_rows(EDGE_TEXTS)
+        """take_rows keeps the rows it is given, in that order, repeats
+        included, under a row_ptr that starts at 0."""
+        row_ptr, cols, vals = featurizer.transform_rows(EDGE_TEXTS)
         idx = np.array([5, 0, 3, 5, 8, 1])
-        full = densify(rows, featurizer.dim)
-        assert np.array_equal(densify(rows, featurizer.dim, idx), full[idx])
+        got_ptr, got_cols, got_vals = take_rows((row_ptr, cols, vals), idx)
+        assert len(got_ptr) == len(idx) + 1 and got_ptr[0] == 0
+        assert got_ptr[-1] == len(got_cols) == len(got_vals)
+        for i, r in enumerate(idx):
+            lo, hi = row_ptr[r], row_ptr[r + 1]
+            assert np.array_equal(got_cols[got_ptr[i]:got_ptr[i + 1]], cols[lo:hi])
+            assert np.array_equal(got_vals[got_ptr[i]:got_ptr[i + 1]], vals[lo:hi])
 
 
 def test_transform_rows_of_no_texts():

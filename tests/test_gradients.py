@@ -10,21 +10,18 @@ from hypothesis import strategies as st
 
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
-from dknn.model import (
-    LLConfig,
-    ModelParams,
-    batch_loss_and_gradients,
-    gradients,
-    total_loss,
-)
+from dknn.model import LLConfig, ModelParams, batch_loss_and_gradients
 from dknn.rng import Rng
 from dknn.trainer import TrainConfig, save_history, train
 from oracles import (
     csr_rows,
+    dense_gradients,
+    gradients,
     label_attention,
     label_similarity,
     reference_loss_and_gradients,
     scaled_label_matrix,
+    total_loss,
 )
 
 FD_H = 1e-5
@@ -127,7 +124,7 @@ def test_batch_gradient_is_mean_of_singles():
     cfg = LLConfig()
     _, batch = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
     singles = [gradients(x[i], int(y[i]), params, cfg) for i in range(4)]
-    for name, tensor in batch.dense(20).tensors().items():
+    for name, tensor in dense_gradients(batch, 20).tensors().items():
         mean = np.mean([s.tensors()[name] for s in singles], axis=0)
         np.testing.assert_allclose(tensor, mean, atol=1e-12)
 
@@ -151,7 +148,7 @@ def test_w1_gradient_rows_of_absent_columns_are_zero():
     present = np.setdiff1d(np.arange(20), absent)
     assert np.array_equal(grads.w1_rows, present)
     assert np.all(np.any(grads.w1 != 0.0, axis=1))
-    d_w1 = grads.dense(20).w1
+    d_w1 = dense_gradients(grads, 20).w1
     assert np.all(d_w1[absent] == 0.0)
     assert not np.any(np.signbit(d_w1[absent]))
 
@@ -162,7 +159,7 @@ def test_single_example_w1_gradient_is_outer_product():
     x[[2, 5]] = 0.0
     _, grads = batch_loss_and_gradients(csr_rows(x[None, :]), np.array([y]), params,
                                         LLConfig())
-    assert np.array_equal(grads.dense(len(x)).w1, np.outer(x, grads.b1))
+    assert np.array_equal(dense_gradients(grads, len(x)).w1, np.outer(x, grads.b1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +195,9 @@ def test_step_matches_reference(kl, cl, c, batch, rho, label_scale, seed):
 
     got, step = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
     want, ref = reference_loss_and_gradients(x, y, params, cfg)
-    forward_only, none = batch_loss_and_gradients(csr_rows(x), y, params, cfg,
-                                                  with_grads=False)
-    assert none is None and forward_only == got
     for name in LOSS_FIELDS:
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
-    for name, tensor in step.dense(f).tensors().items():
+    for name, tensor in dense_gradients(step, f).tensors().items():
         expected = ref.tensors()[name]
         assert tensor.shape == expected.shape
         assert np.all(np.abs(tensor - expected) <= 1e-12 * (1.0 + np.abs(expected))), name

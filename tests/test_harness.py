@@ -57,10 +57,36 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_missing_field_rejected(self, tmp_path):
+        """A record needs a string text, and a label and any coarse that are
+        a string or an integer; a null coarse is an absent one."""
         path = tmp_path / "d.jsonl"
-        path.write_text('{"text": "x"}\n')
-        with pytest.raises(ValidationError):
-            load_dataset(path)
+        good = '{"text": "ok", "label": "A"}\n'
+        for record in [
+            {"text": "x"},
+            {"text": None, "label": "A"},
+            {"text": 3, "label": "A"},
+            {"text": ["x"], "label": "A"},
+            {"text": "x", "label": None},
+            {"text": "x", "label": True},
+            {"text": "x", "label": 1.5},
+            {"text": "x", "label": ["A"]},
+            {"text": "x", "label": {"z": 1}},
+            {"text": "x", "label": "A", "coarse": False},
+            {"text": "x", "label": "A", "coarse": 2.0},
+            {"text": "x", "label": "A", "coarse": {"g": 1}},
+        ]:
+            path.write_text(good + json.dumps(record) + "\n")
+            with pytest.raises(ValidationError, match=f"^{path}:2: "):
+                load_dataset(path)
+
+    def test_integer_label_and_null_coarse_accepted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "x", "label": 7, "coarse": null}\n'
+                        '{"text": "y", "label": "7"}\n'
+                        '{"text": "z", "label": -1}\n')
+        ds = load_dataset(path)
+        assert ds.label_names == ["7", "-1"] and ds.labels == [0, 0, 1]
+        assert ds.coarse_of_label is None
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -251,12 +277,6 @@ class TestRunExperiment:
         report = run_experiment(quick_config(repeats=1))
         assert report.wall_clock > 0.0
         assert "wall_clock" not in report.to_json()
-
-    def test_parallel_repeats_match_sequential(self, monkeypatch):
-        sequential = run_experiment(quick_config())
-        monkeypatch.setenv("DKNN_THREADS", "2")
-        parallel = run_experiment(quick_config())
-        assert parallel.to_json() == sequential.to_json()
 
 
 class TestAblationSuite:

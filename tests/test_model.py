@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dknn.exceptions import CorruptArtifactError
-from dknn.features import densify, take_rows
+from dknn.features import take_rows
 from dknn.model import (
     LLConfig,
     ModelParams,
@@ -20,7 +20,6 @@ from dknn.model import (
     model_fingerprint,
     params_from_bytes,
     save_checkpoint,
-    total_loss,
 )
 from dknn.rng import Rng
 from dknn.trainer import AdamState, TrainConfig, adam_step
@@ -28,11 +27,14 @@ from oracles import (
     contrastive_grad_m,
     contrastive_loss,
     csr_rows,
+    dense_gradients,
     dense_loss_and_gradients,
+    densify,
     label_attention,
     label_similarity,
     scaled_label_matrix,
     soft_target,
+    total_loss,
 )
 
 
@@ -275,8 +277,7 @@ class TestTotalLoss:
         x = rng.normals(30).reshape(5, 6)
         y = np.array([rng.bounded(3) for _ in range(5)])
         cfg = LLConfig()
-        batch, _ = batch_loss_and_gradients(csr_rows(x), y, params, cfg,
-                                            with_grads=False)
+        batch, _ = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
         singles = [total_loss(x[i], int(y[i]), params, cfg) for i in range(5)]
         assert batch.ce == pytest.approx(np.mean([s.ce for s in singles]), abs=1e-12)
         assert batch.kl == pytest.approx(np.mean([s.kl for s in singles]), abs=1e-12)
@@ -318,7 +319,7 @@ class TestLiveColumnStep:
         row_ptr, cols, vals = take_rows(rows, order)
         lo = min(cut, len(lengths) - 1)
         batch = (row_ptr[lo:], cols, vals)
-        x = densify(rows, f, order[lo:])
+        x = densify(take_rows(rows, order[lo:]), f)
 
         live, block = _live_block(batch)
         scattered = np.zeros_like(x)
@@ -334,7 +335,7 @@ class TestLiveColumnStep:
         for name in ("ce", "kl", "cl", "total", "active_hinge_fraction"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
         assert np.array_equal(step.w1_rows, np.flatnonzero(x.any(axis=0)))
-        for name, tensor in step.dense(f).tensors().items():
+        for name, tensor in dense_gradients(step, f).tensors().items():
             expected = ref.tensors()[name]
             assert np.all(np.abs(tensor - expected) <= 1e-12 * (1.0 + np.abs(expected))), name
         if all_empty:

@@ -5,7 +5,7 @@ import pytest
 
 from dknn import trainer as trainer_mod
 from dknn.exceptions import NonFiniteError, ValidationError
-from dknn.features import FeaturizerConfig, densify, fit_featurizer
+from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.mathcore import softmax_rows
 from dknn.model import Gradients, LLConfig, ModelParams
@@ -22,7 +22,7 @@ from dknn.trainer import (
     save_history,
     train,
 )
-from oracles import dense_adam_step, dense_loss_and_gradients
+from oracles import dense_adam_step, dense_loss_and_gradients, densify
 
 CLASS_TOKENS = [
     ["apple", "pear", "plum", "grape", "melon"],
@@ -272,9 +272,9 @@ class TestTrain:
         blocks = []
         step_fn = trainer_mod.batch_loss_and_gradients
 
-        def recording_step(rows, y, params, ll, with_grads=True):
+        def recording_step(rows, y, params, ll):
             blocks.append(densify(rows, feat.dim))
-            return step_fn(rows, y, params, ll, with_grads)
+            return step_fn(rows, y, params, ll)
 
         monkeypatch.setattr(trainer_mod, "batch_loss_and_gradients", recording_step)
         params, history = train(ds, None, feat, cfg)
