@@ -63,16 +63,20 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ValidationError(f"config key {key!r}: cannot parse boolean from {raw!r}")
 
 
-def _read_utf8(path: Path, what: str) -> str:
+def _read_lines(path: Path, what: str) -> list[str]:
+    """A UTF-8 file's lines, split where ``open`` splits them: at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only. (``str.splitlines`` also splits at form
+    feeds, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and U+2029.)"""
     try:
-        return read_artifact(path, what).decode("utf-8")
+        text = read_artifact(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_utf8(path, "config file").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path, "config file"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -366,17 +370,19 @@ def _breakdown_json(text: str, breakdown, label_names: list[str], explain: bool)
 
 
 def _cmd_predict(cfg: dict) -> int:
+    has_text, has_file = cfg.get("text") is not None, bool(cfg.get("file"))
+    if has_text == has_file:
+        raise ValidationError("predict needs one of --text and --file"
+                              + (", not both" if has_text else ""))
     icfg = _inference_config(cfg)
     bundle = load_bundle(str(_require(cfg, "checkpoint")), cfg["featurizer_file"],
                          cfg["text_store"], cfg["pro_store"], icfg)
 
-    if cfg.get("text") is not None:
+    if has_text:
         texts = [str(cfg["text"])]
-    elif cfg.get("file"):
-        lines = _read_utf8(Path(str(cfg["file"])), "input file").splitlines()
-        texts = [ln for ln in lines if ln.strip()]
     else:
-        raise ValidationError("predict needs --text or --file")
+        lines = _read_lines(Path(str(cfg["file"])), "input file")
+        texts = [ln for ln in lines if ln.strip()]
 
     breakdowns = iter_predictions(texts, bundle.params, bundle.featurizer, bundle.text_store,
                                   bundle.pro_store, icfg, bundle.fingerprint)

@@ -1,8 +1,9 @@
 """Deterministic numeric primitives used by every other module.
 
 All functions take and return float64 numpy arrays; accumulation is always
-done in double precision. Probability vectors ("distributions") are plain
-1-D arrays with nonnegative entries summing to 1 within 1e-9.
+done in double precision. A probability vector ("distribution") has
+nonnegative entries summing to 1 within 1e-9; a block of them is a 2-D
+array with one distribution per row.
 """
 
 from __future__ import annotations
@@ -13,13 +14,6 @@ CE_EPS = 1e-12  # lower clamp on p[y] inside cross entropy
 KL_EPS = 1e-12  # additive smoothing of both KL arguments
 
 DISTRIBUTION_TOL = 1e-9
-
-
-def _as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {arr.shape}")
-    return arr
 
 
 def is_distribution(p, tol: float = DISTRIBUTION_TOL) -> bool:
@@ -38,18 +32,15 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def sharpen(p) -> np.ndarray:
-    """Square-and-renormalize a distribution to boost high-confidence mass.
+def sharpen(p: np.ndarray) -> np.ndarray:
+    """Square-and-renormalize each row of a (B, c) block of distributions to
+    boost high-confidence mass.
 
     Two-step form: f_j = p_j^2 / sum(p), then f / sum(f), so unnormalized
-    nonnegative inputs are handled deterministically as well. Preserves the
-    argmax and never decreases the maximum entry of a proper distribution.
+    nonnegative rows are handled deterministically as well. Preserves each
+    row's argmax and never decreases the maximum entry of a proper
+    distribution. Rows must be nonnegative with a positive sum, as every
+    ``stores.neighbor_distribution`` row is.
     """
-    arr = _as_vector(p, "p")
-    if np.any(arr < 0.0):
-        raise ValueError("sharpen input must be nonnegative")
-    total = arr.sum()
-    if total <= 0.0:
-        raise ValueError("sharpen input must have a positive entry")
-    f = (arr * arr) / total
-    return f / f.sum()
+    f = (p * p) / p.sum(axis=1, keepdims=True)
+    return f / f.sum(axis=1, keepdims=True)

@@ -7,10 +7,13 @@ top-k neighbors from each store, for a block of queries at a time. An L2
 store takes candidates from one float32 matrix product of the block with
 all keys and reranks them exactly with the distance kernel of
 ``RepresentationStore.distances``; a KL store ranks that kernel's full
-distance vector, one matrix-vector product per query. Inference turns the
-neighbors into label distributions via softmax over negative distances,
-sharpens each, averages the two, and interpolates with the model's own
-prediction.
+distance vector, one matrix-vector product per query. A block's search
+gives each store's (B, k) neighbor indices and distances; the rest of
+inference is row operations on that block: label distributions via softmax
+over negative distances, sharpened, averaged over the two stores, and
+interpolated with the model's own prediction. ``Neighbor`` lists are built
+only for a 1-D ``query`` and when a breakdown's neighbor fields are read
+(``dknn predict --explain``).
 
 Store file format "DKNS" v1 (little-endian, no padding):
 magic 4s | u16 version | u8 metric (0=L2, 1=KL) | u32 dim | u32 N | u32 c |
@@ -23,8 +26,9 @@ import json
 import math
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +79,10 @@ class InferenceConfig:
 
 @dataclass
 class PredictionBreakdown:
-    """Every distribution on the way to the final call, and the neighbor
-    lists each store returned. Disabled kNN modules leave their fields None;
-    with both disabled p_knn is None and p_final == p_model."""
+    """Every distribution on the way to the final call. Disabled kNN modules
+    leave their fields None; with both disabled p_knn is None and p_final ==
+    p_model. ``text_neighbors`` and ``pro_neighbors`` list what each enabled
+    store returned, built from the row's search result when read."""
 
     p_model: np.ndarray
     p_text_sharp: np.ndarray | None
@@ -85,8 +90,24 @@ class PredictionBreakdown:
     p_knn: np.ndarray | None
     p_final: np.ndarray
     label: int
-    text_neighbors: list[Neighbor] | None = None
-    pro_neighbors: list[Neighbor] | None = None
+    _text_found: tuple | None = field(default=None, repr=False)
+    _pro_found: tuple | None = field(default=None, repr=False)
+
+    @property
+    def text_neighbors(self) -> list[Neighbor] | None:
+        return _neighbor_list(self._text_found)
+
+    @property
+    def pro_neighbors(self) -> list[Neighbor] | None:
+        return _neighbor_list(self._pro_found)
+
+
+def _neighbor_list(found: tuple | None) -> list[Neighbor] | None:
+    """A row's (indices, distances, labels) as Neighbors; None stays None."""
+    if found is None:
+        return None
+    # positional arguments: keywords double the cost of each Neighbor
+    return [Neighbor(i, d, y) for i, d, y in zip(*(a.tolist() for a in found))]
 
 
 def _l2_rows(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -221,18 +242,19 @@ def build_stores(
 
 
 def query(store: RepresentationStore, q: np.ndarray,
-          k: int) -> list[Neighbor] | list[list[Neighbor]]:
+          k: int) -> list[Neighbor] | tuple[np.ndarray, np.ndarray]:
     """Exact top-k by ascending (distance, store index).
 
-    ``q`` is one (dim,) query, answered with a ``list[Neighbor]``, or a
-    (B, dim) block, answered with one such list per row. Each list holds
-    min(k, N) neighbors with the distances of ``store.distances`` of its
-    row, bit for bit; ties on distance resolve to the lower store index, and
-    a row's answer does not depend on the rest of its block. A KL store
-    ranks each row's full distance vector, one GEMV per row. An L2 store
-    splits the block into blocks of ``search_block_rows(N)`` rows, takes
-    candidates for each from one float32 GEMM, widened per row by a
-    floating-point error bound, and reranks them with the L2 kernel.
+    ``q`` is a (B, dim) block, answered with two (B, min(k, N)) arrays: each
+    row's store indices (int64) and their distances, nearest first; or one
+    (dim,) query, answered with its 1-row block as a ``list[Neighbor]``. The
+    distances equal ``store.distances`` of their row, bit for bit; ties on
+    distance resolve to the lower store index, and a row's answer does not
+    depend on the rest of its block. A KL store ranks each row's full
+    distance vector, one GEMV per row. An L2 store splits the block into
+    blocks of ``search_block_rows(N)`` rows, takes candidates for each from
+    one float32 GEMM, widened per row by a floating-point error bound, and
+    reranks them with the L2 kernel.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -247,32 +269,30 @@ def query(store: RepresentationStore, q: np.ndarray,
             f"query dim {np.shape(q)} does not match store dim {store.dim}"
         )
     limit = min(k, store.n)
-    found = []
+    idx = np.empty((len(rows), limit), dtype=np.int64)
+    dist = np.empty((len(rows), limit))
     if store.metric == StoreMetric.KL:
-        for row in rows:
-            dist = store.distances(row)
-            idx = _at_most(dist, _kth_smallest(dist, limit))
-            found.append(_neighbors(store, idx, dist[idx], limit))
+        for i, row in enumerate(rows):
+            row_dist = store.distances(row)
+            cand = _at_most(row_dist, _kth_smallest(row_dist, limit))
+            _rank(cand, row_dist[cand], idx[i], dist[i])
     else:
         step = search_block_rows(store.n)
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
-            for row, idx in zip(block, _l2_candidates(store, block, limit)):
-                found.append(_neighbors(store, idx, _l2_rows(store.keys[idx], row), limit))
-    return found[0] if single else found
+            for i, (row, cand) in enumerate(zip(block, _l2_candidates(store, block, limit)), lo):
+                _rank(cand, _l2_rows(store.keys[cand], row), idx[i], dist[i])
+    if single:
+        return _neighbor_list((idx[0], dist[0], store.labels[idx[0]]))
+    return idx, dist
 
 
-def _neighbors(store: RepresentationStore, idx: np.ndarray, dist: np.ndarray,
-               limit: int) -> list[Neighbor]:
-    """The first ``limit`` candidates by (distance, index)."""
-    order = np.lexsort((idx, dist))[:limit]
-    idx = idx[order]
-    # positional arguments: keywords double the cost of each Neighbor
-    return [
-        Neighbor(i, d, y)
-        for i, d, y in zip(idx.tolist(), dist[order].tolist(),
-                           store.labels[idx].tolist())
-    ]
+def _rank(cand: np.ndarray, cand_dist: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
+    """Write the first len(idx) candidates by (distance, index) into the
+    output row ``idx`` and their distances into ``dist``."""
+    order = np.lexsort((cand, cand_dist))[:len(idx)]
+    idx[:] = cand[order]
+    dist[:] = cand_dist[order]
 
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
@@ -382,43 +402,33 @@ def _f32_ceiling(b: float) -> float:
     return b + abs(b) * 2.0**-22 + 2.0**-149
 
 
-def neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarray:
-    """Softmax over negative neighbor distances, mass summed per label.
+def neighbor_distribution(dist: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's softmax over negative neighbor distances, mass summed per
+    label: (B, k) distances and store labels in, (B, n_classes) out.
 
-    The common factor exp(min distance) cancels under normalization, so
-    distances are shifted by their minimum before exponentiation for
-    numerical range.
+    The common factor exp(min distance) cancels under normalization, so each
+    row is shifted by its minimum before exponentiation for numerical range;
+    its nearest neighbor then weighs exp(0) = 1, so every row sums to at
+    least 1. Labels lie in [0, n_classes), as ``RepresentationStore`` checks.
     """
-    if not neighbors:
-        raise ValidationError("neighbor list is empty")
-    dist = np.array([nb.distance for nb in neighbors], dtype=np.float64)
-    labels = np.array([nb.label for nb in neighbors], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValidationError(f"neighbor label out of range for {n_classes} classes")
-    weights = np.exp(-(dist - dist.min()))
-    # bincount adds the weights in list order, as a per-neighbor loop would
-    out = np.bincount(labels, weights=weights, minlength=n_classes)
-    return out / out.sum()
+    b = len(dist)
+    weights = np.exp(-(dist - dist.min(axis=1, keepdims=True)))
+    # one bincount adds each row's weights in neighbor order, as a loop would
+    slots = (np.arange(b)[:, None] * n_classes + labels).ravel()
+    out = np.bincount(slots, weights=weights.ravel(), minlength=b * n_classes)
+    out = out.reshape(b, n_classes)
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def combine_knn(p_text_sharp: np.ndarray, p_pro_sharp: np.ndarray) -> np.ndarray:
-    """Elementwise mean of the two sharpened kNN distributions."""
-    a = np.asarray(p_text_sharp, dtype=np.float64)
-    b = np.asarray(p_pro_sharp, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError("kNN distributions must have equal length")
-    return (a + b) / 2.0
+    """Elementwise mean of two (B, c) blocks of sharpened kNN distributions."""
+    return (p_text_sharp + p_pro_sharp) / 2.0
 
 
 def interpolate(p_knn: np.ndarray, p_model: np.ndarray, lam: float) -> np.ndarray:
-    """lam * p_knn + (1 - lam) * p_model; exact at both endpoints."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda must be in [0, 1], got {lam}")
-    a = np.asarray(p_knn, dtype=np.float64)
-    b = np.asarray(p_model, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError("distributions must have equal length")
-    return lam * a + (1.0 - lam) * b
+    """lam * p_knn + (1 - lam) * p_model for (B, c) blocks; exact at both
+    endpoints. ``InferenceConfig.validate`` checks lam."""
+    return lam * p_knn + (1.0 - lam) * p_model
 
 
 def predict(
@@ -451,11 +461,12 @@ def iter_predictions(
     through forward_batch, before this returns. The texts are then searched
     in blocks of ``search_block_rows(N)`` rows of the text store: each
     enabled store gets one ``query`` call per block, made when the block's
-    first breakdown is asked for. Each breakdown equals ``predict`` of its
-    text alone, bit for bit. A caller that drops each breakdown before
-    asking for the next, as ``dknn predict`` does, holds at most one block
-    of neighbor lists: a long ``--file`` then piles up none for the garbage
-    collector to promote and rescan.
+    first breakdown is asked for, and the block goes from neighbors to
+    predictions in whole-row operations. Each breakdown equals ``predict``
+    of its text alone, bit for bit. A caller that drops each breakdown
+    before asking for the next, as ``dknn predict`` does, holds at most one
+    block's arrays, and no ``Neighbor`` is made unless a breakdown's
+    neighbor fields are read.
 
     With one kNN module disabled the combined distribution is the remaining
     module's sharpened distribution alone (no averaging against zeros); with
@@ -481,54 +492,36 @@ def _predict_blocks(
     pro_store: RepresentationStore | None,
     cfg: InferenceConfig,
 ) -> Iterator[PredictionBreakdown]:
-    """Search each block of forward rows, then yield its breakdowns."""
+    """Search each block of forward rows, combine it as whole rows, then
+    yield its breakdowns."""
     step = search_block_rows(text_store.n if cfg.use_text_knn else 0)
-    for lo in range(0, len(h), step):
-        p_block = p[lo:lo + step]
-        unused = [None] * len(p_block)
-        text_found = query(text_store, h[lo:lo + step], cfg.k) if cfg.use_text_knn else unused
-        pro_found = query(pro_store, p_block, cfg.k) if cfg.use_pro_knn else unused
-        for row in zip(p_block, text_found, pro_found):
-            yield _breakdown(*row, cfg)
+    off = (None, repeat(None))  # a disabled module: no distribution, no neighbors
+    for lo in range(0, len(p), step):
+        p_model = p[lo:lo + step]
+        p_text, text_found = (_knn_block(text_store, h[lo:lo + step], cfg.k)
+                              if cfg.use_text_knn else off)
+        p_pro, pro_found = _knn_block(pro_store, p_model, cfg.k) if cfg.use_pro_knn else off
+        sharp = [block for block in (p_text, p_pro) if block is not None]
+        # with one module on, the mean of its distribution with itself is
+        # that distribution, bit for bit
+        p_knn = combine_knn(sharp[0], sharp[-1]) if sharp else None
+        p_final = p_model.copy() if p_knn is None else interpolate(p_knn, p_model, cfg.lam)
+        for row in zip(p_model, *map(_rows, (p_text, p_pro, p_knn)), p_final,
+                       np.argmax(p_final, axis=1).tolist(), text_found, pro_found):
+            yield PredictionBreakdown(*row)
 
 
-def _breakdown(
-    p_model: np.ndarray,
-    text_neighbors: list[Neighbor] | None,
-    pro_neighbors: list[Neighbor] | None,
-    cfg: InferenceConfig,
-) -> PredictionBreakdown:
-    """Combine and interpolate for one row of the forward and its neighbors."""
-    c = len(p_model)
-    p_text_sharp = p_pro_sharp = None
-    if text_neighbors is not None:
-        p_text_sharp = sharpen(neighbor_distribution(text_neighbors, c))
-    if pro_neighbors is not None:
-        p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, c))
+def _knn_block(store: RepresentationStore, q: np.ndarray, k: int) -> tuple[np.ndarray, Iterator]:
+    """One store's search of a block: its sharpened neighbor distributions
+    and, per row, the (indices, distances, labels) of its neighbors."""
+    idx, dist = query(store, q, k)
+    labels = store.labels[idx]
+    return sharpen(neighbor_distribution(dist, labels, store.n_classes)), zip(idx, dist, labels)
 
-    if p_text_sharp is not None and p_pro_sharp is not None:
-        p_knn = combine_knn(p_text_sharp, p_pro_sharp)
-    elif p_text_sharp is not None:
-        p_knn = p_text_sharp
-    elif p_pro_sharp is not None:
-        p_knn = p_pro_sharp
-    else:
-        p_knn = None
 
-    if p_knn is None:
-        p_final = p_model.copy()
-    else:
-        p_final = interpolate(p_knn, p_model, cfg.lam)
-    return PredictionBreakdown(
-        p_model=p_model,
-        p_text_sharp=p_text_sharp,
-        p_pro_sharp=p_pro_sharp,
-        p_knn=p_knn,
-        p_final=p_final,
-        label=int(np.argmax(p_final)),
-        text_neighbors=text_neighbors,
-        pro_neighbors=pro_neighbors,
-    )
+def _rows(block: np.ndarray | None):
+    """The rows of a block; None for every row of a disabled module's."""
+    return repeat(None) if block is None else block
 
 
 def _require_store(

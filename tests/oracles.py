@@ -10,6 +10,8 @@ the batched training step in its first, plainest form, and
 before it went over the batch's live columns. ``total_loss`` and
 ``gradients`` run the package's batched step on one dense example, so the
 finite-difference and golden-loss checks test the code that trains.
+``row_breakdown`` keeps the inference tail one row and one ``Neighbor``
+list at a time, as it ran before it combined whole blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
-from dknn.mathcore import CE_EPS, KL_EPS, _as_vector, softmax_rows
+from dknn.mathcore import CE_EPS, KL_EPS, softmax_rows
 from dknn.model import (
     Gradients,
     LLConfig,
@@ -31,7 +33,14 @@ from dknn.model import (
     batch_loss_and_gradients,
 )
 from dknn.rng import Rng
-from dknn.stores import Neighbor, RepresentationStore
+from dknn.stores import InferenceConfig, Neighbor, PredictionBreakdown, RepresentationStore
+
+
+def _as_vector(v, name: str = "vector") -> np.ndarray:
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +589,106 @@ def loop_neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.
     for nb, w in zip(neighbors, weights):
         out[nb.label] += w
     return out / out.sum()
+
+
+# ---------------------------------------------------------------------------
+# the inference tail, one row at a time: the first forms of the functions of
+# ``dknn.stores`` and ``dknn.mathcore.sharpen``, with the checks they made
+
+
+def neighbor_distribution(neighbors: list[Neighbor], n_classes: int) -> np.ndarray:
+    """Softmax over negative neighbor distances, mass summed per label.
+
+    The common factor exp(min distance) cancels under normalization, so
+    distances are shifted by their minimum before exponentiation for
+    numerical range.
+    """
+    if not neighbors:
+        raise ValidationError("neighbor list is empty")
+    dist = np.array([nb.distance for nb in neighbors], dtype=np.float64)
+    labels = np.array([nb.label for nb in neighbors], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValidationError(f"neighbor label out of range for {n_classes} classes")
+    weights = np.exp(-(dist - dist.min()))
+    # bincount adds the weights in list order, as a per-neighbor loop would
+    out = np.bincount(labels, weights=weights, minlength=n_classes)
+    return out / out.sum()
+
+
+def sharpen(p) -> np.ndarray:
+    """Square-and-renormalize a distribution to boost high-confidence mass.
+
+    Two-step form: f_j = p_j^2 / sum(p), then f / sum(f), so unnormalized
+    nonnegative inputs are handled deterministically as well. Preserves the
+    argmax and never decreases the maximum entry of a proper distribution.
+    """
+    arr = _as_vector(p, "p")
+    if np.any(arr < 0.0):
+        raise ValueError("sharpen input must be nonnegative")
+    total = arr.sum()
+    if total <= 0.0:
+        raise ValueError("sharpen input must have a positive entry")
+    f = (arr * arr) / total
+    return f / f.sum()
+
+
+def combine_knn(p_text_sharp: np.ndarray, p_pro_sharp: np.ndarray) -> np.ndarray:
+    """Elementwise mean of the two sharpened kNN distributions."""
+    a = np.asarray(p_text_sharp, dtype=np.float64)
+    b = np.asarray(p_pro_sharp, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValidationError("kNN distributions must have equal length")
+    return (a + b) / 2.0
+
+
+def interpolate(p_knn: np.ndarray, p_model: np.ndarray, lam: float) -> np.ndarray:
+    """lam * p_knn + (1 - lam) * p_model; exact at both endpoints."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"lambda must be in [0, 1], got {lam}")
+    a = np.asarray(p_knn, dtype=np.float64)
+    b = np.asarray(p_model, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValidationError("distributions must have equal length")
+    return lam * a + (1.0 - lam) * b
+
+
+def row_breakdown(
+    p_model: np.ndarray,
+    text_neighbors: list[Neighbor] | None,
+    pro_neighbors: list[Neighbor] | None,
+    cfg: InferenceConfig,
+) -> PredictionBreakdown:
+    """Combine and interpolate for one row of the forward and its neighbors:
+    the per-row tail that ``dknn.stores`` ran before it combined whole
+    blocks. The returned breakdown carries no neighbor lists."""
+    c = len(p_model)
+    p_text_sharp = p_pro_sharp = None
+    if text_neighbors is not None:
+        p_text_sharp = sharpen(neighbor_distribution(text_neighbors, c))
+    if pro_neighbors is not None:
+        p_pro_sharp = sharpen(neighbor_distribution(pro_neighbors, c))
+
+    if p_text_sharp is not None and p_pro_sharp is not None:
+        p_knn = combine_knn(p_text_sharp, p_pro_sharp)
+    elif p_text_sharp is not None:
+        p_knn = p_text_sharp
+    elif p_pro_sharp is not None:
+        p_knn = p_pro_sharp
+    else:
+        p_knn = None
+
+    if p_knn is None:
+        p_final = p_model.copy()
+    else:
+        p_final = interpolate(p_knn, p_model, cfg.lam)
+    return PredictionBreakdown(
+        p_model=p_model,
+        p_text_sharp=p_text_sharp,
+        p_pro_sharp=p_pro_sharp,
+        p_knn=p_knn,
+        p_final=p_final,
+        label=int(np.argmax(p_final)),
+    )
 
 
 # ---------------------------------------------------------------------------

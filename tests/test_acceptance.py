@@ -358,7 +358,7 @@ def test_criterion_7_invariant_suites():
         c = 2 + rng.bounded(10)
         raw = rng.uniforms(c) + 1e-9
         p = raw / raw.sum()
-        s = sharpen(p)
+        s = sharpen(p[None])[0]
         assert is_distribution(s, tol=1e-9)
         assert np.argmax(s) == np.argmax(p)
         assert s.max() >= p.max() - 1e-12

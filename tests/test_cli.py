@@ -267,6 +267,26 @@ class TestPredict:
         assert rc == 3
         assert "fingerprint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, texts", [
+        ("g0w1\x0cg0w2\ng1w4\n", ["g0w1\x0cg0w2", "g1w4"]),
+        ("g0w1\x1cg0w2\ng1w4\n", ["g0w1\x1cg0w2", "g1w4"]),
+        ("g0w1\u2028g0w2\x85\ng1w4\u2029\n", ["g0w1\u2028g0w2\x85", "g1w4\u2029"]),
+        ("g0w1 g0w2\r\ng1w4\r\n", ["g0w1 g0w2", "g1w4"]),
+        ("g0w1 g0w2\rg1w4\r\rl2w1", ["g0w1 g0w2", "g1w4", "l2w1"]),
+    ], ids=["form-feed", "x1c", "u2028", "crlf", "lone-cr"])
+    def test_file_lines_end_only_where_open_ends_them(self, workspace, tmp_path, capsys,
+                                                       content, texts):
+        """One output line per non-blank input line, where lines end at \\n,
+        \\r\\n or \\r, as for a dataset file."""
+        root, data, out = workspace
+        inputs = tmp_path / "in.txt"
+        inputs.write_bytes(content.encode("utf-8"))
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                     "--file", str(inputs)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""
+        assert [json.loads(line)["text"] for line in lines] == texts
+
     def test_missing_text_exit_2(self, workspace):
         root, data, out = workspace
         rc = main(["predict", "--checkpoint", str(out / "checkpoint.dknm")])
@@ -275,6 +295,12 @@ class TestPredict:
 
 def _bad_k(out, tmp_path):
     return ["--k", "abc"]
+
+
+def _text_and_file(out, tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("g0w1\n")
+    return ["--file", str(path)]
 
 
 def _featurizer_dim_mismatch(out, tmp_path):
@@ -408,6 +434,7 @@ def _store_nan_key(out, tmp_path):
     "corrupt, code",
     [
         (_bad_k, 2),
+        (_text_and_file, 2),
         (_featurizer_dim_mismatch, 3),
         (_store_label_out_of_range, 4),
         (_nan_weight, 4),
@@ -426,7 +453,7 @@ def _store_nan_key(out, tmp_path):
         (_zero_classes, 4),
         (_zero_width, 4),
     ],
-    ids=["k-not-int", "featurizer-dim", "store-label-range", "nan-weight",
+    ids=["k-not-int", "text-and-file", "featurizer-dim", "store-label-range", "nan-weight",
          "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
          "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
          "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
@@ -712,6 +739,11 @@ class TestConfigFile:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "no_such_option" in capsys.readouterr().err
+
+    def test_config_lines_end_only_where_open_ends_them(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("a=1\x0cb=2\u2028x\rc=3\r\n# d=4\x1ce=5\nf=6".encode("utf-8"))
+        assert cli.load_config_file(cfg) == {"a": "1\x0cb=2\u2028x", "c": "3", "f": "6"}
 
     def test_malformed_config_line_exit_2(self, workspace, tmp_path):
         root, data, _ = workspace

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
 from dknn.model import FORWARD_BLOCK, ModelParams, classify, encode, model_fingerprint
 from dknn.rng import Rng
-from oracles import heap_query, kl_divergence, loop_neighbor_distribution
+from oracles import heap_query, kl_divergence, loop_neighbor_distribution, row_breakdown
 from dknn.stores import (
     SEARCH_BLOCK_BYTES,
     InferenceConfig,
@@ -36,7 +37,7 @@ from dknn.stores import (
     search_block_rows,
     store_bytes,
 )
-from dknn.stores import _f32_ceiling, _l2_candidates
+from dknn.stores import _f32_ceiling, _l2_candidates, _predict_blocks
 
 
 def random_store(rng: Rng, n: int, dim: int, c: int, metric: StoreMetric,
@@ -161,6 +162,14 @@ class TestQuery:
         with pytest.raises(ValidationError):
             query(store, np.array([2.0, 3.0, 4.0]), 2)
 
+    def test_store_label_out_of_range_rejected(self):
+        """RepresentationStore is the one check of label range: every label
+        that neighbor_distribution sees comes from a store."""
+        keys = np.full((3, 2), 0.5)
+        for metric in (StoreMetric.L2, StoreMetric.KL):
+            with pytest.raises(ValidationError, match="out of range for 2 classes"):
+                RepresentationStore(keys, np.array([0, 2, 1], np.uint32), metric, 2, 0)
+
     def test_kl_store_rejects_non_distribution_keys(self):
         keys = np.array([[0.4, 0.4], [5.0, 5.0]], dtype=np.float32)
         with pytest.raises(ValidationError):
@@ -193,6 +202,14 @@ class TestQuery:
 def _bits(neighbors):
     """Index, distance bits and label of every neighbor, in order."""
     return [(nb.index, nb.distance.hex(), nb.label) for nb in neighbors]
+
+
+def _block_bits(store, found):
+    """``_bits`` of each row of a block's (indices, distances) answer."""
+    idx, dist = found
+    assert idx.dtype == np.int64 and dist.dtype == np.float64 and idx.shape == dist.shape
+    return [[(i, d.hex(), int(store.labels[i])) for i, d in zip(row_idx, row_dist)]
+            for row_idx, row_dist in zip(idx.tolist(), dist.tolist())]
 
 
 @st.composite
@@ -368,7 +385,7 @@ class TestSearchMatchesHeapScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = query(store, qs, k)
-        assert [_bits(row) for row in got] == [_bits(heap_query(store, q, k)) for q in qs]
+        assert _block_bits(store, got) == [_bits(heap_query(store, q, k)) for q in qs]
 
     @pytest.mark.parametrize("scale", [1e30, 1e39, np.inf, np.nan])
     def test_out_of_range_row_leaves_its_block_alone(self, scale):
@@ -379,11 +396,11 @@ class TestSearchMatchesHeapScan:
         qs[2] *= scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = query(store, qs, 7)
+            got = _block_bits(store, query(store, qs, 7))
             alone = query(store, qs[2], 7)
-        assert len(got) == 5 and _bits(got[2]) == _bits(alone)
+        assert len(got) == 5 and got[2] == _bits(alone)
         rows = [0, 1, 3, 4] if np.isnan(scale) else range(5)
-        assert all(_bits(got[i]) == _bits(heap_query(store, qs[i], 7)) for i in rows)
+        assert all(got[i] == _bits(heap_query(store, qs[i], 7)) for i in rows)
 
     def test_search_holds_no_scan_above_the_block_budget(self):
         """256 queries over 2^15 keys would scan a 32 MiB (B, N) float32
@@ -397,12 +414,12 @@ class TestSearchMatchesHeapScan:
         assert b * n * 4 >= 4 * SEARCH_BLOCK_BYTES and search_block_rows(n) < b
         tracemalloc.start()
         try:
-            got = query(store, qs, 5)
+            idx, dist = query(store, qs, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * SEARCH_BLOCK_BYTES
-        assert [len(row) for row in got] == [5] * b
+        assert idx.shape == dist.shape == (b, 5)
 
     def test_block_rows_keep_the_scan_within_budget(self):
         assert search_block_rows(0) == search_block_rows(1) == FORWARD_BLOCK
@@ -414,7 +431,8 @@ class TestSearchMatchesHeapScan:
     @pytest.mark.parametrize("metric", [StoreMetric.L2, StoreMetric.KL])
     def test_block_query_shape_checks(self, metric):
         store = random_store(Rng(34), 5, 3, 2, metric)
-        assert query(store, np.zeros((0, 3)), 2) == []
+        idx, dist = query(store, np.zeros((0, 3)), 2)
+        assert idx.shape == dist.shape == (0, 2)
         for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3)), np.float64(0.5)):
             with pytest.raises(ValidationError):
                 query(store, bad, 2)
@@ -447,6 +465,13 @@ class TestSearchMatchesHeapScan:
         assert _bits(query(store, q, 7)) == expected
 
 
+def one_row(neighbors, c):
+    """neighbor_distribution of one Neighbor list, as a 1-row block."""
+    dist = np.array([[nb.distance for nb in neighbors]])
+    labels = np.array([[nb.label for nb in neighbors]], dtype=np.uint32)
+    return neighbor_distribution(dist, labels, c)[0]
+
+
 class TestNeighborDistribution:
     def test_matches_per_neighbor_loop_bitwise(self):
         rng = Rng(12)
@@ -455,67 +480,53 @@ class TestNeighborDistribution:
             n = 1 + rng.bounded(25)
             dist = rng.uniforms(n) * 4.0
             nbs = [Neighbor(i, float(dist[i]), rng.bounded(c)) for i in range(n)]
-            assert np.array_equal(neighbor_distribution(nbs, c),
-                                  loop_neighbor_distribution(nbs, c))
-
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            neighbor_distribution([Neighbor(0, 0.1, 2)], 2)
+            assert np.array_equal(one_row(nbs, c), loop_neighbor_distribution(nbs, c))
 
     def test_single_neighbor_one_hot(self):
-        out = neighbor_distribution([Neighbor(0, 0.3, 2)], 4)
+        out = one_row([Neighbor(0, 0.3, 2)], 4)
         np.testing.assert_allclose(out, [0, 0, 1, 0], atol=0)
 
     def test_equal_distances_two_labels(self):
         nbs = [Neighbor(0, 0.5, 0), Neighbor(1, 0.5, 1)]
-        np.testing.assert_allclose(neighbor_distribution(nbs, 2), [0.5, 0.5])
+        np.testing.assert_allclose(one_row(nbs, 2), [0.5, 0.5])
 
     def test_ln2_weight_ratio(self):
         nbs = [Neighbor(0, 0.0, 0), Neighbor(1, math.log(2.0), 1)]
         np.testing.assert_allclose(
-            neighbor_distribution(nbs, 2), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15
+            one_row(nbs, 2), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15
         )
 
     def test_same_label_mass_combines(self):
         nbs = [Neighbor(0, 0.0, 1), Neighbor(1, 0.0, 1), Neighbor(2, 0.0, 0)]
         np.testing.assert_allclose(
-            neighbor_distribution(nbs, 2), [1.0 / 3.0, 2.0 / 3.0], atol=1e-15
+            one_row(nbs, 2), [1.0 / 3.0, 2.0 / 3.0], atol=1e-15
         )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            neighbor_distribution([], 2)
 
 
 class TestCombineInterpolate:
     def test_combine_identical_inputs(self):
-        p = np.array([0.2, 0.8])
+        p = np.array([[0.2, 0.8]])
         np.testing.assert_allclose(combine_knn(p, p), p, atol=0)
 
     def test_combine_opposites(self):
         np.testing.assert_allclose(
-            combine_knn(np.array([1.0, 0.0]), np.array([0.0, 1.0])), [0.5, 0.5]
+            combine_knn(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])), [[0.5, 0.5]]
         )
 
     def test_interpolate_endpoints_exact(self):
-        a = np.array([0.9, 0.1])
-        b = np.array([0.3, 0.7])
+        a = np.array([[0.9, 0.1]])
+        b = np.array([[0.3, 0.7]])
         assert np.array_equal(interpolate(a, b, 0.0), b)
         assert np.array_equal(interpolate(a, b, 1.0), a)
 
     def test_interpolate_midpoint(self):
         np.testing.assert_allclose(
-            interpolate(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5), [0.5, 0.5]
+            interpolate(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.5), [[0.5, 0.5]]
         )
 
-    def test_lambda_out_of_range(self):
-        with pytest.raises(ValidationError):
-            interpolate(np.array([1.0]), np.array([1.0]), 1.5)
 
-
-def assert_same_breakdown(got, want):
-    """Every distribution bit for bit (signs of zeros too), the label and
-    both neighbor lists, as ``dknn predict --explain`` prints them."""
+def assert_same_distributions(got, want):
+    """Every distribution bit for bit (signs of zeros too) and the label."""
     for name in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
@@ -523,6 +534,12 @@ def assert_same_breakdown(got, want):
             assert np.array_equal(a, b) and np.array_equal(
                 np.signbit(a), np.signbit(b)), name
     assert got.label == want.label
+
+
+def assert_same_breakdown(got, want):
+    """Every distribution bit for bit, the label and both neighbor lists, as
+    ``dknn predict --explain`` prints them."""
+    assert_same_distributions(got, want)
     assert got.text_neighbors == want.text_neighbors
     assert got.pro_neighbors == want.pro_neighbors
 
@@ -627,6 +644,16 @@ class TestPredict:
         assert out.text_neighbors == query(s_text, h, 4)
         assert out.pro_neighbors is None
 
+    def test_lambda_out_of_range_rejected_before_search(self, monkeypatch):
+        """InferenceConfig.validate is the one check of lambda: the tail's
+        interpolate does not repeat it."""
+        params, feat, ds, s_text, s_pro = build_fixture()
+        monkeypatch.setattr(stores, "query", None)  # a search would raise TypeError
+        for lam in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match="lambda"):
+                iter_predictions(["apple"], params, feat, s_text, s_pro,
+                                 InferenceConfig(k=3, lam=lam))
+
     def test_fingerprint_mismatch_rejected(self):
         params, feat, ds, s_text, s_pro = build_fixture()
         other = tiny_params(64, 4, 2, seed=99)
@@ -703,6 +730,82 @@ class TestPredict:
         for lam in (0.25, 0.5, 0.75):
             expected = lam * p1 + (1.0 - lam) * p0
             assert np.abs(outs[lam] - expected).max() <= 1e-12
+
+
+@st.composite
+def tail_cases(draw):
+    """Forward rows (h, p) of a block of B texts, a text and a pro store, an
+    InferenceConfig and the rows per search block. Keys sit on a coarse grid
+    with duplicate rows, and queries at keys or half a step off, so
+    distances tie within and across labels; k runs past N."""
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 6))
+    b = draw(st.sampled_from([1, 2, 33]))
+    top = draw(st.integers(1, 3))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    text_keys = np.floor(rng.uniforms(n * dim) * (top + 1)).reshape(n, dim)
+    pro_keys = np.floor(rng.uniforms(n * c) * (top + 1)).reshape(n, c) + 1.0
+    dup = rng.uniforms(n) < 0.2
+    text_keys[dup] = text_keys[0]
+    pro_keys[dup] = pro_keys[0]
+    pick = np.floor(rng.uniforms(b) * n).astype(int)
+    h = text_keys[pick]
+    h[rng.uniforms(b) < 0.5] += 0.5
+    p = pro_keys[pick]
+    p[rng.uniforms(b) < 0.5] += 0.5
+    p /= p.sum(axis=1, keepdims=True)
+    labels = np.floor(rng.uniforms(n) * c).astype(np.uint32)
+    text_store = RepresentationStore(text_keys, labels, StoreMetric.L2, c, 0)
+    pro_store = RepresentationStore(pro_keys / pro_keys.sum(axis=1, keepdims=True),
+                                    labels[::-1], StoreMetric.KL, c, 0)
+    cfg = InferenceConfig(
+        k=draw(st.one_of(st.integers(1, n), st.integers(n, n + 3))),
+        lam=draw(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])),
+        use_text_knn=draw(st.booleans()), use_pro_knn=draw(st.booleans()))
+    return h, p, text_store, pro_store, cfg, draw(st.sampled_from([1, 4, 256]))
+
+
+class TestBlockTail:
+    @given(tail_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_block_tail_equals_per_row_oracle_bitwise(self, case):
+        """Each breakdown of a block equals the per-row tail of
+        ``oracles.row_breakdown`` over its row's 1-D query answers."""
+        h, p, text_store, pro_store, cfg, rows = case
+        text_on = text_store if cfg.use_text_knn else None
+        pro_on = pro_store if cfg.use_pro_knn else None
+        with mock.patch.object(stores, "SEARCH_BLOCK_BYTES", 8 * text_store.n * rows):
+            got = list(_predict_blocks(h, p, text_on, pro_on, cfg))
+        assert len(got) == len(p)
+        for i, breakdown in enumerate(got):
+            text = query(text_store, h[i], cfg.k) if text_on else None
+            pro = query(pro_store, p[i], cfg.k) if pro_on else None
+            assert_same_distributions(breakdown, row_breakdown(p[i], text, pro, cfg))
+            assert breakdown.text_neighbors == text and breakdown.pro_neighbors == pro
+
+    def test_unread_neighbor_fields_build_no_neighbor(self, monkeypatch):
+        """A block of 100 texts makes no Neighbor unless a breakdown's
+        neighbor fields are read; reading one gives exactly its row's
+        1-D query answer."""
+        params, feat, ds, s_text, s_pro = build_fixture()
+        texts = [f"{ds.texts[i % ds.n]} w{i}" for i in range(100)]
+        made = []
+
+        class CountedNeighbor(Neighbor):
+            def __init__(self, *args):
+                made.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(stores, "Neighbor", CountedNeighbor)
+        cfg = InferenceConfig(k=4)
+        got = list(iter_predictions(texts, params, feat, s_text, s_pro, cfg))
+        assert len(got) == 100 and made == []
+        h, p = stores.forward_batch(feat.transform_rows(texts[7:8]), params)
+        want = query(s_text, h[0], 4)
+        made.clear()
+        assert got[7].text_neighbors == want and len(made) == 4
+        assert got[7].pro_neighbors == query(s_pro, p[0], 4)
 
 
 class TestPersistence:
