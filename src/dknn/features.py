@@ -180,8 +180,8 @@ class Featurizer:
         cfg.validate()
         if cfg.mode == "tfidf":
             tokens = d["vocabulary"]
-            if type(tokens) is not list or not all(type(tok) is str for tok in tokens):
-                raise ValidationError("tfidf vocabulary must be a list of strings")
+            if type(tokens) is not list or not tokens or not all(type(t) is str for t in tokens):
+                raise ValidationError("tfidf vocabulary must be a non-empty list of strings")
             vocab = {tok: i for i, tok in enumerate(tokens)}
             idf = np.asarray(d["idf"], dtype=np.float64)
             if len(vocab) != len(tokens):
@@ -205,12 +205,12 @@ def fit_featurizer(corpus: list[str], config: FeaturizerConfig) -> Featurizer:
     config.validate()
     if config.mode == "hashing":
         return Featurizer(config)
-    if not corpus:
-        raise ValidationError("tfidf featurizer requires a non-empty corpus")
     df: dict[str, int] = {}
     for text in corpus:
         for tok in set(tokenize(text, config.lowercase)):
             df[tok] = df.get(tok, 0) + 1
+    if not df:
+        raise ValidationError("tfidf featurizer: no training text yields a token")
     vocab = {tok: i for i, tok in enumerate(sorted(df))}
     n_docs = len(corpus)
     idf = np.empty(len(vocab), dtype=np.float64)

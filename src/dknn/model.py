@@ -15,12 +15,12 @@ backprop); finite differences are only used as a test oracle.
 
 Both passes take feature rows in CSR form. A training step
 (batch_loss_and_gradients) works over the batch's live columns: the L
-distinct columns its rows use, against F in all. It multiplies the dense
-(B, L) block of the rows by those L rows of W1 and returns dW1 as the same
-L rows, so its cost follows L, not F. The inference forward (forward_batch)
-reduces each row over its own entries in blocks of FORWARD_BLOCK rows, so a
-row's bits never depend on the rest of its batch. The dense first form of
-the step is kept in ``tests/oracles.py`` as a reference.
+distinct columns its rows use (column_map), against F in all. It multiplies
+the dense (B, L) block of the rows by those L rows of W1 and returns dW1 as
+the same L rows, so its cost follows L, not F. The inference forward
+(forward_batch) reduces each row over its own entries in blocks of
+FORWARD_BLOCK rows, so a row's bits never depend on the rest of its batch.
+The dense first form of the step is kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -85,10 +85,8 @@ class ModelParams:
         c = self.w2.shape[1]
         if self.b1.shape != (d,) or self.w2.shape != (d, c) or self.b2.shape != (c,):
             raise ValueError("inconsistent parameter shapes")
-        if c == 0:
-            raise ValueError("a model needs at least one class")
-        if d == 0:
-            raise ValueError("a model needs an embedding width of at least one")
+        if 0 in (f, d, c):
+            raise ValueError(f"a model needs F, d and c >= 1, got F={f}, d={d}, c={c}")
         if self.label_emb.shape != (c, d):
             raise ValueError(
                 f"label_emb shape {self.label_emb.shape} != ({c}, {d})"
@@ -230,16 +228,29 @@ def _mirror(m: np.ndarray) -> np.ndarray:
 # loss + analytic gradients of a batch
 
 
+def column_map(cols: np.ndarray, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(used, compact)``: the distinct columns of ``cols``, ascending, and
+    each entry's index into them, as ``np.unique(cols, return_inverse=True)``
+    gives them, but ranked by a running count over [0, n_cols), not sorted."""
+    if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError(f"feature column outside [0, {n_cols})")
+    rank = np.zeros(n_cols, dtype=np.intp)
+    rank[cols] = 1
+    used = np.flatnonzero(rank)
+    np.cumsum(rank, out=rank)
+    return used, rank[cols] - 1
+
+
 def _live_block(
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray], n_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(live, x)`` for CSR rows: the L distinct columns the rows use,
-    ascending, and the dense (B, L) block of the rows over those columns,
-    so ``x`` scattered to columns ``live`` of a (B, F) zero block is the
-    dense (B, F) block of the rows."""
+    """``(live, x)`` for CSR rows over columns [0, n_cols): the L distinct
+    columns the rows use, ascending, and the dense (B, L) block of the rows
+    over those columns, so ``x`` scattered to columns ``live`` of a
+    (B, n_cols) zero block is the dense block of the rows."""
     row_ptr, cols, vals = rows
     lo, hi = row_ptr[0], row_ptr[-1]
-    live, at = np.unique(cols[lo:hi], return_inverse=True)
+    live, at = column_map(cols[lo:hi], n_cols)
     x = np.zeros((len(row_ptr) - 1, len(live)))
     x[np.repeat(np.arange(len(x)), np.diff(row_ptr)), at] = vals[lo:hi]
     return live, x
@@ -254,18 +265,14 @@ def batch_loss_and_gradients(
     """Mean loss over a batch of CSR feature rows ``(row_ptr, cols, vals)``,
     as forward_batch takes them, and its analytic gradients.
 
-    The first layer runs over the batch's L live columns only: z1 is the
-    (B, L) block of the rows times those L rows of W1, and dW1 comes back as
-    those L rows (see Gradients), so no step touches all F x d entries.
-    Per-example quantities (alpha, M, q) are computed for every row; the
+    The first layer runs over the batch's L live columns (see the module
+    docstring and Gradients). Per-example quantities (alpha, M, q) are computed for every row; the
     batch loss is the arithmetic mean of per-example losses and gradients
     are the matching means.
     """
     cfg.validate()
     y = np.asarray(y, dtype=np.int64)
-    live, x = _live_block(rows)
-    if len(live) and (live[0] < 0 or live[-1] >= params.feature_dim):
-        raise ValueError(f"feature column outside [0, {params.feature_dim})")
+    live, x = _live_block(rows, params.feature_dim)
     if y.shape != (x.shape[0],):
         raise ValueError("y must have one label per row")
     c = params.n_classes

@@ -7,13 +7,13 @@ w1 row-major, then w2 row-major, then label_emb row-major, each tensor
 filled by one normals() call; biases start at zero. The shuffle for epoch e
 (0-based) uses a fresh generator seeded with ``seed XOR e``.
 
-The training set stays in CSR form, and each mini-batch goes to the model
-as the CSR of its own rows (features.take_rows), in shuffled order. The
-step works over the batch's live columns (see model.py) and returns
-the w1 gradient as (rows, values). Adam, its finiteness check and the
-per-epoch gradient norms read only those rows, so no step allocates or
-reads an F x d array, except Adam's update of the w1 rows that batches
-have used.
+The training set stays in CSR form, renumbered by model.column_map to the U
+columns of F that it uses, in order. The loop trains a U-row copy of w1
+that shares the other tensors and goes back into the full w1 before each
+dev evaluation and at the end; the other rows keep their initial bits, as
+dense Adam leaves them. Each mini-batch goes to the model as the CSR of its
+own rows (features.take_rows), in shuffled order, so no step allocates or
+reads an F x d array.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .model import (
     LLConfig,
     ModelParams,
     batch_loss_and_gradients,
+    column_map,
     forward_batch,
 )
 from .rng import Rng
@@ -89,14 +90,12 @@ def save_history(history: TrainHistory, path) -> None:
 
 @dataclass
 class AdamState:
-    """Adam moments per tensor. ``live`` marks the rows of w1 that have been
-    in a step's ``grads.w1_rows``. ``scratch`` holds two work arrays per
+    """Adam moments per tensor. ``scratch`` holds two work arrays per
     tensor, so a step allocates no full-size temporaries."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     scratch: dict[str, tuple[np.ndarray, np.ndarray]]
-    live: np.ndarray
     step: int = 0
 
     @classmethod
@@ -106,7 +105,6 @@ class AdamState:
             m={k: np.zeros_like(t) for k, t in tensors.items()},
             v={k: np.zeros_like(t) for k, t in tensors.items()},
             scratch={k: (np.empty_like(t), np.empty_like(t)) for k, t in tensors.items()},
-            live=np.zeros(len(params.w1), dtype=bool),
         )
 
 
@@ -115,12 +113,10 @@ def adam_step(
 ) -> None:
     """Standard bias-corrected Adam update, applied in place to params/state.
 
-    b1, w2, b2 and label_emb update whole. w1 updates its live rows only,
-    with a +0.0 gradient for a live row the step leaves out, as the dense
-    tensor holds there. That is exact: a row that has never been live has
-    m = v = 0 and a +-0 gradient, so dense Adam would leave m and v at +0.0
-    and subtract +0.0 from the row. A row updates every step once it has
-    gone live, so the trajectory is that of dense Adam, bit for bit.
+    Every tensor updates whole. The w1 gradient rows go into w1's first work
+    array, zeroed, so the rows the step leaves out get the +0.0 that the
+    dense gradient holds. A row no step has given yet keeps its bits: its m
+    and v stay +0.0, and the row loses +0.0. Under train, w1 is U x d.
     """
     gtensors = grads.tensors()
     for name, grad in gtensors.items():
@@ -131,30 +127,25 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    lr = config.learning_rate
+    g = gtensors["w1"] = state.scratch["w1"][0]
+    g.fill(0.0)
+    g[grads.w1_rows] = grads.w1
     for name, tensor in params.tensors().items():
-        if name != "w1":
-            _adam_update(tensor, gtensors[name], state.m[name], state.v[name],
-                         bc1, bc2, lr, *state.scratch[name])
-    state.live[grads.w1_rows] = True
-    rows = np.flatnonzero(state.live)
-    g = np.zeros((len(rows), params.w1.shape[1]))
-    g[np.searchsorted(rows, grads.w1_rows)] = grads.w1
-    w1, m, v = params.w1[rows], state.m["w1"][rows], state.v["w1"][rows]
-    num, den = (s[: len(rows)] for s in state.scratch["w1"])
-    _adam_update(w1, g, m, v, bc1, bc2, lr, num, den)
-    params.w1[rows], state.m["w1"][rows], state.v["w1"][rows] = w1, m, v
+        _adam_update(tensor, gtensors[name], state.m[name], state.v[name],
+                     bc1, bc2, config.learning_rate, *state.scratch[name])
 
 
 def _adam_update(tensor, g, m, v, bc1: float, bc2: float, lr: float, num, den) -> None:
     """tensor -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
     updates, with every intermediate in the work arrays ``num`` and ``den``
     and every operation in the order of that expression, so the bits are
-    those of the plain form (``tests/oracles.py::dense_adam_step``)."""
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=num)
-    v *= ADAM_BETA2
+    those of the plain form (``tests/oracles.py::dense_adam_step``). ``g``
+    may be ``num`` itself: g is last read where num is first written."""
     np.multiply(g, g, out=den)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+    m *= ADAM_BETA1
+    m += num
+    v *= ADAM_BETA2
     den *= 1.0 - ADAM_BETA2
     v += den
     np.divide(m, bc1, out=num)
@@ -205,16 +196,13 @@ def train(
     weighted by batch size) and dev accuracy.
     """
     config.validate()
+    train_set.validate()  # every label in [0, num_labels)
     if train_set.n == 0:
         raise ValidationError("training set is empty")
     n_classes = train_set.num_labels
-    if n_classes < 1:
-        raise ValidationError("label vocabulary is empty")
 
-    rows = featurizer.transform_rows(train_set.texts)
+    row_ptr, cols, vals = featurizer.transform_rows(train_set.texts)
     y = np.asarray(train_set.labels, dtype=np.int64)
-    if np.any(y >= n_classes):
-        raise ValidationError("label index outside the dataset vocabulary")
     dev_rows = y_dev = None
     if dev_set is not None and dev_set.n > 0:
         dev_rows = featurizer.transform_rows(dev_set.texts)
@@ -222,7 +210,10 @@ def train(
 
     rng = Rng(config.seed)
     params = init_params(featurizer.dim, config.embed_dim, n_classes, rng)
-    state = AdamState.for_params(params)
+    used, compact = column_map(cols, featurizer.dim)
+    rows = (row_ptr, compact, vals)
+    work = ModelParams(**{**params.tensors(), "w1": params.w1[used]})
+    state = AdamState.for_params(work)
     history: TrainHistory = []
     n = train_set.n
 
@@ -234,13 +225,13 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             breakdown, grads = batch_loss_and_gradients(
-                take_rows(rows, idx), y[idx], params, config.ll
+                take_rows(rows, idx), y[idx], work, config.ll
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch + 1}, batch start {start}"
                 )
-            adam_step(params, grads, state, config)
+            adam_step(work, grads, state, config)
             sums += np.array(
                 [breakdown.ce, breakdown.kl, breakdown.cl, breakdown.active_hinge_fraction]
             ) * len(idx)
@@ -249,6 +240,7 @@ def train(
         ce, kl, cl, active = (sums / n).tolist()
         dev_acc = None
         if dev_rows is not None:
+            params.w1[used] = work.w1
             dev_acc = _accuracy(params, dev_rows, y_dev)
         history.append(
             EpochRecord(
@@ -258,6 +250,7 @@ def train(
                 active_hinge_fraction=active,
             )
         )
+    params.w1[used] = work.w1
     return params, history
 
 

@@ -393,6 +393,12 @@ def _vocabulary_not_strings(out, tmp_path):
     return _edited_featurizer(out, tmp_path, edit)
 
 
+def _empty_vocabulary(out, tmp_path):
+    def edit(doc):
+        doc["featurizer"].update(mode="tfidf", vocabulary=[], idf=[])
+    return _edited_featurizer(out, tmp_path, edit)
+
+
 def _lowercase_not_bool(out, tmp_path):
     return _edited_featurizer(out, tmp_path, lambda doc: doc["featurizer"].update(lowercase="no"))
 
@@ -415,6 +421,15 @@ def _zero_width(out, tmp_path):
     b2 = 18 + 4 * (f * d + d + d * c)
     path = tmp_path / "checkpoint.dknm"
     path.write_bytes(blob[:10] + struct.pack("<I", 0) + blob[14:18] + blob[b2:b2 + 4 * c])
+    return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"]
+
+
+def _zero_features(out, tmp_path):
+    """A well-sized checkpoint with F = 0: w1 empty, every other block whole."""
+    blob = (out / "checkpoint.dknm").read_bytes()
+    f, d = struct.unpack_from("<II", blob, 6)
+    path = tmp_path / "checkpoint.dknm"
+    path.write_bytes(blob[:6] + struct.pack("<I", 0) + blob[10:18] + blob[18 + 4 * f * d:])
     return ["--checkpoint", str(path), "--no-text-knn", "--no-pro-knn"]
 
 
@@ -452,12 +467,15 @@ def _store_nan_key(out, tmp_path):
         (_swapped_store, 3),
         (_zero_classes, 4),
         (_zero_width, 4),
+        (_zero_features, 4),
+        (_empty_vocabulary, 4),
     ],
     ids=["k-not-int", "text-and-file", "featurizer-dim", "store-label-range", "nan-weight",
          "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
          "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
          "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
-         "swapped-store", "zero-classes", "zero-width"],
+         "swapped-store", "zero-classes", "zero-width", "zero-features",
+         "empty-vocabulary"],
 )
 def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrupt, code):
     root, data, out = workspace
@@ -485,6 +503,17 @@ def test_train_bad_config_exits_with_one_error_line(workspace, tmp_path, flags, 
             "--epochs", "1", "--feature-dim", "64", "--embed-dim", "4"] + flags
     line = _run_expecting_one_error_line(argv, 2)
     assert option in line
+
+
+def test_tfidf_without_a_training_token_exits_2(tmp_path):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n" for text, label
+                            in [("!!!", "a"), ("...", "b"), ("", "a"), ("?", "b")]))
+    argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+            "--featurizer", "tfidf", "--epochs", "1"]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert "no training text yields a token" in line
+    assert not (tmp_path / "run" / "checkpoint.dknm").exists()
 
 
 NOT_UTF8 = b"text,label\ncaf\xe9 ok,a\n"  # a Latin-1 byte, as a UTF-8 decoder sees it

@@ -101,6 +101,10 @@ class TestTfidfFeaturizer:
         with pytest.raises(ValidationError):
             fit_featurizer([], FeaturizerConfig(mode="tfidf"))
 
+    def test_corpus_without_a_token_raises(self):
+        with pytest.raises(ValidationError, match="no training text yields a token"):
+            fit_featurizer(["!!!", "...", "", "?"], FeaturizerConfig(mode="tfidf"))
+
     def test_unknown_tokens_dropped(self):
         f = fit_featurizer(["a b c"], FeaturizerConfig(mode="tfidf"))
         assert np.array_equal(f.transform("zzz qqq"), np.zeros(f.dim))

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dknn import trainer as trainer_mod
 from dknn.exceptions import CorruptArtifactError
-from dknn.features import take_rows
+from dknn.features import FeaturizerConfig, fit_featurizer, take_rows
+from dknn.harness import Dataset
 from dknn.model import (
     LLConfig,
     ModelParams,
@@ -15,6 +17,7 @@ from dknn.model import (
     batch_loss_and_gradients,
     checkpoint_bytes,
     classify,
+    column_map,
     encode,
     load_checkpoint,
     model_fingerprint,
@@ -22,7 +25,7 @@ from dknn.model import (
     save_checkpoint,
 )
 from dknn.rng import Rng
-from dknn.trainer import AdamState, TrainConfig, adam_step
+from dknn.trainer import TrainConfig
 from oracles import (
     contrastive_grad_m,
     contrastive_loss,
@@ -293,6 +296,50 @@ def random_rows(rng: Rng, f: int, lengths: list[int]):
     return row_ptr, flat, rng.normals(len(flat)) * 0.5 + 1.0
 
 
+@st.composite
+def csr_batches(draw):
+    """``(n_cols, rows)``: CSR rows over [0, n_cols) with any number of
+    entries per row (empty rows and repeated columns included)."""
+    n_cols = draw(st.one_of(st.integers(1, 8), st.integers(1, 1 << 16)))
+    entries = draw(st.lists(st.lists(st.integers(0, n_cols - 1), max_size=12),
+                            min_size=1, max_size=20))
+    if draw(st.booleans()):
+        entries = [[] for _ in entries]
+    row_ptr = np.zeros(len(entries) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in entries], out=row_ptr[1:])
+    cols = np.array([c for e in entries for c in e], dtype=np.int64)
+    return n_cols, (row_ptr, cols, np.ones(len(cols)))
+
+
+class TestColumnMap:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=csr_batches(), cut=st.integers(0, 20))
+    def test_equals_np_unique(self, batch, cut):
+        """On a whole CSR and on a batch sliced from an offset row_ptr, as a
+        step takes it, the map is np.unique with return_inverse."""
+        n_cols, (row_ptr, cols, vals) = batch
+        first = min(cut, len(row_ptr) - 2)
+        lo = row_ptr[first]
+        for part in (cols, cols[lo:]):
+            used, compact = column_map(part, n_cols)
+            want_used, want_compact = np.unique(part, return_inverse=True)
+            assert np.array_equal(used, want_used)
+            assert np.array_equal(compact, want_compact)
+            assert np.array_equal(used[compact], part)
+        live, _ = _live_block((row_ptr[first:], cols, vals), n_cols)
+        assert np.array_equal(live, np.unique(cols[lo:]))
+
+    @pytest.mark.parametrize("bad", [-1, 5, 6, -(1 << 40)])
+    def test_column_outside_the_range_raises(self, bad):
+        cols = np.array([0, 4, bad, 2])
+        with pytest.raises(ValueError, match=r"feature column outside \[0, 5\)"):
+            column_map(cols, 5)
+        params = random_params(Rng(5), 5, 3, 2)
+        rows = (np.array([0, 2, 4]), cols, np.ones(4))
+        with pytest.raises(ValueError, match=r"feature column outside \[0, 5\)"):
+            batch_loss_and_gradients(rows, np.array([0, 1]), params, LLConfig())
+
+
 class TestLiveColumnStep:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -321,7 +368,7 @@ class TestLiveColumnStep:
         batch = (row_ptr[lo:], cols, vals)
         x = densify(take_rows(rows, order[lo:]), f)
 
-        live, block = _live_block(batch)
+        live, block = _live_block(batch, f)
         scattered = np.zeros_like(x)
         scattered[:, live] = block
         assert np.array_equal(scattered, x)
@@ -342,29 +389,45 @@ class TestLiveColumnStep:
             assert step.w1.shape == (0, d)
             assert got == want  # z1 = b1 on both sides
 
-    def test_a_step_allocates_nothing_feature_wide(self):
-        """At F = 2^16 an (F, d) float64 array is 16 MiB. Loss, gradients and
-        Adam over a few sparse batches must peak far below that."""
-        f, d, c = 1 << 16, 32, 4
+    def test_a_step_allocates_nothing_feature_wide(self, monkeypatch):
+        """At F = 2^16 an (F, d) float64 array is 16 MiB. train draws w1 at
+        full F, then trains over the U columns its training set uses: the
+        epoch loop after init_params (loss, gradients and Adam over a few
+        sparse batches) must peak far below that, and Adam must hold U rows
+        of w1."""
+        f, d = 1 << 16, 32
         rng = Rng(3)
-        params = random_params(rng, f, d, c)
-        state = AdamState.for_params(params)
-        rows = random_rows(rng, f, [20] * 64)
-        y = np.array([i % c for i in range(64)])
-        tracemalloc.start()
+        texts = [" ".join(f"w{rng.bounded(100_000)}" for _ in range(20)) for _ in range(64)]
+        ds = Dataset(texts=texts, labels=[i % 4 for i in range(64)],
+                     label_names=["a", "b", "c", "d"])
+        feat = fit_featurizer([], FeaturizerConfig(dim=f))
+        draw, adam = trainer_mod.init_params, trainer_mod.adam_step
+        w1_shapes = []
+
+        def init_then_trace(*args):
+            params = draw(*args)
+            tracemalloc.start()
+            return params
+
+        def recording_adam(params, grads, state, config):
+            w1_shapes.append(state.m["w1"].shape)
+            adam(params, grads, state, config)
+
+        monkeypatch.setattr(trainer_mod, "init_params", init_then_trace)
+        monkeypatch.setattr(trainer_mod, "adam_step", recording_adam)
         try:
-            for lo in range(0, 64, 16):
-                tracemalloc.reset_peak()
-                _, grads = batch_loss_and_gradients(
-                    (rows[0][lo : lo + 17], rows[1], rows[2]), y[lo : lo + 16],
-                    params, LLConfig())
-                adam_step(params, grads, state, TrainConfig())
-                norms = [np.linalg.norm(g) for g in grads.tensors().values()]
-                assert tracemalloc.get_traced_memory()[1] < f * d * 8 // 8
-                assert np.all(np.isfinite(norms))
+            params, history = trainer_mod.train(
+                ds, None, feat, TrainConfig(batch_size=16, epochs=2, embed_dim=d, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0 < state.live.sum() <= 64 * 20
+        assert peak < f * d * 8 // 8
+        used = np.unique(feat.transform_rows(texts)[1])
+        assert 0 < len(used) <= 64 * 20
+        assert w1_shapes == [(len(used), d)] * 8
+        assert params.w1.shape == (f, d)
+        assert all(np.isfinite(rec.total) for rec in history)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -102,9 +102,9 @@ class TestAdam:
     def test_live_rows_match_dense_adam_bitwise(self):
         """Rows go live at different steps; a -0.0 entry sits both in an
         all-zero row and in a nonzero one. The w1 gradient comes as rows that
-        include rows 1 and 4 at every step, so both go live at step 1 while
-        all zero (row 1 is nonzero first at step 3). Params and both moments
-        must equal dense Adam over every entry, bit for bit."""
+        include rows 1 and 4 at every step, both all zero at step 1 (row 1 is
+        nonzero first at step 3). Params and both moments must equal dense
+        Adam over every entry, bit for bit."""
         params = init_params(6, 3, 4, Rng(3))
         params.w1[5, 0] = -0.0
         ref = {k: t.copy() for k, t in params.tensors().items()}
@@ -128,10 +128,6 @@ class TestAdam:
             adam_step(params, row_grads(grads, sorted({*rows, 1, 4})), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
                             cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-            assert state.live.tolist() == [
-                r in (1, 4) or any(r in seen for seen in live_rows[:step])
-                for r in range(6)
-            ]
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (step, k)
@@ -139,10 +135,9 @@ class TestAdam:
 
     def test_dead_zero_row_keeps_its_state_and_all_live_w1_matches_dense(self):
         """Step 1 hands over w1 rows [0, 1, 2, 3] with rows 1 and 3 all +-0:
-        every row goes live, rows 1 and 3 must stay untouched with zero
-        moments, and row 2's update must land on row 2. Step 3 gives only
-        row 0, so the other rows update with a +0.0 gradient, as dense Adam
-        does."""
+        rows 1 and 3 must stay untouched with zero moments, and row 2's
+        update must land on row 2. Step 3 gives only row 0, so the other
+        rows update with a +0.0 gradient, as dense Adam does."""
         params = init_params(4, 2, 2, Rng(4))
         ref = {k: t.copy() for k, t in params.tensors().items()}
         m_ref = {k: np.zeros_like(t) for k, t in ref.items()}
@@ -165,14 +160,12 @@ class TestAdam:
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
                             cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
             if step == 1:
-                assert state.live.tolist() == [True, True, True, True]
                 assert np.array_equal(params.w1[[1, 3]], w1_before[[1, 3]])
                 assert not state.m["w1"][[1, 3]].any() and not state.v["w1"][[1, 3]].any()
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (step, k)
                     assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
-        assert state.live.all()
 
 
 class TestInit:
@@ -211,6 +204,24 @@ class TestTrain:
         assert history == []
         for k, t in params.tensors().items():
             assert np.array_equal(t, expected.tensors()[k])
+
+    def test_rows_outside_the_training_columns_keep_their_init_bits(self):
+        """train works over the columns its training set uses. Every other
+        w1 row leaves it as init_params drew it, bit for bit; every used row
+        has moved, and each dev evaluation sees the trained rows."""
+        ds = separable_dataset(n_per_class=20)
+        dev = separable_dataset(n_per_class=5, seed=1)
+        feat = fit_featurizer([], FeaturizerConfig(dim=512))
+        cfg = TrainConfig(batch_size=16, epochs=3, embed_dim=8, seed=5)
+        params, history = train(ds, dev, feat, cfg)
+        init = init_params(feat.dim, cfg.embed_dim, 2, Rng(cfg.seed))
+        used = np.flatnonzero(feat.transform_many(ds.texts).any(axis=0))
+        outside = np.setdiff1d(np.arange(feat.dim), used)
+        assert 0 < len(used) < feat.dim
+        assert np.array_equal(params.w1[outside], init.w1[outside])
+        assert np.array_equal(np.signbit(params.w1[outside]), np.signbit(init.w1[outside]))
+        assert (params.w1[used] != init.w1[used]).any(axis=1).all()
+        assert history[-1].dev_accuracy == evaluate(params, feat, dev)
 
     def test_same_seed_identical_runs(self):
         ds = separable_dataset()
@@ -258,8 +269,9 @@ class TestTrain:
     def test_matches_dense_batches_and_dense_adam_bitwise(self, monkeypatch, mode):
         """With both LL losses on, train equals a loop of the dense step over
         dense x[idx] batches with dense Adam. Each step gets the CSR slice of
-        its own mini-batch, whose dense form is x[idx]. Under tf-idf F is the
-        training vocabulary, so every w1 row goes live in epoch 1.
+        its own mini-batch over the columns the training set uses, whose
+        dense form is x[idx] over those columns. Under tf-idf F is the
+        training vocabulary, so the training set uses every column.
 
         Bit for bit when the dense step runs over the batch's nonzero
         columns, so both GEMMs have the same operands on any BLAS kernel;
@@ -273,7 +285,7 @@ class TestTrain:
         step_fn = trainer_mod.batch_loss_and_gradients
 
         def recording_step(rows, y, params, ll):
-            blocks.append(densify(rows, feat.dim))
+            blocks.append(densify(rows, params.feature_dim))
             return step_fn(rows, y, params, ll)
 
         monkeypatch.setattr(trainer_mod, "batch_loss_and_gradients", recording_step)
@@ -283,6 +295,8 @@ class TestTrain:
 
         x_all = feat.transform_many(ds.texts)
         y_all = np.asarray(ds.labels)
+        used = np.flatnonzero(x_all.any(axis=0))
+        assert mode == "hashing" or len(used) == feat.dim
         for live_only in (True, False):
             ref = init_params(feat.dim, cfg.embed_dim, 2, Rng(cfg.seed)).tensors()
             m = {k: np.zeros_like(t) for k, t in ref.items()}
@@ -293,7 +307,7 @@ class TestTrain:
                 for start in range(0, ds.n, cfg.batch_size):
                     xb = x_all[order[start : start + cfg.batch_size]]
                     yb = y_all[order[start : start + cfg.batch_size]]
-                    assert np.array_equal(blocks[step], xb)
+                    assert np.array_equal(blocks[step], xb[:, used])
                     cols = np.flatnonzero(xb.any(axis=0)) if live_only else slice(None)
                     sub = ModelParams(**{**ref, "w1": ref["w1"][cols]})
                     _, g = dense_loss_and_gradients(xb[:, cols], yb, sub, cfg.ll)
