@@ -4,6 +4,10 @@ Tokenization is fixed so two runs agree byte for byte: split on Unicode
 whitespace, strip leading/trailing ASCII punctuation, drop empty tokens,
 lowercase (unless disabled). Hashing uses 64-bit FNV-1a over the UTF-8 bytes
 of each token; output vectors are L2-normalized when nonzero.
+
+A block of texts takes its counts from one sort of its (row, column) keys. A
+row's norm sums its squares left to right in ascending column order, a fixed
+order, so tf-idf values do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import functools
 import string
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +26,7 @@ FNV64_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_HASH_DIM = 4096
+FEATURIZE_BLOCK = 256  # texts per block of transform_rows; no bit depends on it
 
 
 def fnv1a64(data: bytes | str) -> int:
@@ -39,14 +45,34 @@ def fnv1a64(data: bytes | str) -> int:
 _token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a64)
 
 
-def _token(raw: str, lowercase: bool) -> str:
-    """One whitespace-delimited piece as a token; '' when it is dropped."""
-    tok = raw.strip(string.punctuation)
-    return tok.lower() if lowercase else tok
-
-
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    return [tok for tok in (_token(raw, lowercase) for raw in text.split()) if tok]
+    toks = (raw.strip(string.punctuation) for raw in text.split())
+    return [tok.lower() if lowercase else tok for tok in toks if tok]
+
+
+class _PieceColumns(dict):
+    """Whitespace piece -> column, -1 if its token is dropped or unknown. A
+    piece is tokenized, as ``tokenize`` does it, on its first read, so
+    ``map`` over ``__getitem__`` stays in C for every repeat."""
+
+    __slots__ = ("lowercase", "dim", "vocabulary")
+
+    def __init__(self, featurizer: "Featurizer") -> None:
+        self.lowercase, self.dim = featurizer.config.lowercase, featurizer.dim
+        self.vocabulary = featurizer.vocabulary if featurizer.config.mode == "tfidf" else None
+
+    def __missing__(self, raw: str) -> int:
+        tok = raw.strip(string.punctuation)
+        if self.lowercase:
+            tok = tok.lower()
+        if not tok:
+            col = -1
+        elif self.vocabulary is None:
+            col = _token_hash(tok) % self.dim
+        else:
+            col = self.vocabulary.get(tok, -1)
+        self[raw] = col
+        return col
 
 
 def take_rows(
@@ -98,51 +124,44 @@ class Featurizer:
 
         Row i keeps its nonzero columns ``cols[row_ptr[i]:row_ptr[i + 1]]`` in
         ascending order, with their values. Each distinct whitespace piece is
-        tokenized and mapped to a column once per call. Norms are taken over a
-        dense scratch row, so every densified row is bit-identical to the
-        count-then-normalize vector of the module docstring.
+        tokenized and mapped to a column once per call. Blocks of
+        FEATURIZE_BLOCK texts bound the work arrays; one text is a block of
+        one row. A row's bits depend only on its own text, so any split of
+        ``texts`` gives the same rows.
         """
-        lowercase = self.config.lowercase
-        dim = self.dim
-        if self.config.mode == "hashing":
-            def column(tok: str) -> int:
-                return _token_hash(tok) % dim
-        else:
-            def column(tok: str) -> int:
-                return self.vocabulary.get(tok, -1)
-        columns: dict[str, int] = {}  # whitespace piece -> column, -1 if dropped
-        cols_list: list[int] = []
-        counts_list: list[int] = []
-        row_ptr = [0]
-        for text in texts:
-            counts: dict[int, int] = {}
-            for raw in text.split():
-                col = columns.get(raw)
-                if col is None:
-                    tok = _token(raw, lowercase)
-                    col = columns[raw] = column(tok) if tok else -1
-                if col >= 0:
-                    counts[col] = counts.get(col, 0) + 1
-            for col in sorted(counts):
-                cols_list.append(col)
-                counts_list.append(counts[col])
-            row_ptr.append(len(cols_list))
-        cols = np.array(cols_list, dtype=np.int64)
-        vals = np.array(counts_list, dtype=np.float64)
+        columns = _PieceColumns(self)
+        if len(texts) <= FEATURIZE_BLOCK:  # one block, returned without a copy
+            return self._block_rows(texts, columns)
+        ptrs, cols, vals = zip(*[self._block_rows(texts[lo:lo + FEATURIZE_BLOCK], columns)
+                                 for lo in range(0, len(texts), FEATURIZE_BLOCK)])
+        row_ptr = np.cumsum(np.concatenate([[0], *map(np.diff, ptrs)]))
+        return row_ptr, np.concatenate(cols), np.concatenate(vals)
+
+    def _block_rows(
+        self, texts: list[str], columns: _PieceColumns
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """transform_rows of one block: every piece's column, one sort of the
+        (row, column) keys for the counts, one bincount for the norms."""
+        dim, n = columns.dim, len(texts)
+        pieces = list(map(str.split, texts))
+        col = np.fromiter(map(columns.__getitem__, chain.from_iterable(pieces)), np.int64)
+        key = np.arange(0, n * dim, dim).repeat(np.fromiter(map(len, pieces), np.int64, n))
+        key += col
+        key = key[col >= 0]
+        key.sort()
+        run = np.empty(len(key) + 1, dtype=bool)  # run starts of equal keys, then the end
+        run[0] = run[-1] = True
+        np.not_equal(key[1:], key[:-1], out=run[1:-1])
+        at = run.nonzero()[0]
+        row, cols = np.divmod(key[at[:-1]], dim)
+        row_ptr = row.searchsorted(np.arange(n + 1))
+        vals = (at[1:] - at[:-1]).astype(np.float64)  # the counts
         if self.config.mode == "tfidf":
             vals *= self.idf[cols]
-
-        scratch = np.zeros(dim, dtype=np.float64)
-        for lo, hi in zip(row_ptr[:-1], row_ptr[1:]):
-            if lo == hi:
-                continue
-            c, v = cols[lo:hi], vals[lo:hi]
-            scratch[c] = v
-            norm = np.sqrt(np.dot(scratch, scratch))
-            scratch[c] = 0.0
-            if norm > 0.0:
-                v /= norm
-        return np.array(row_ptr, dtype=np.int64), cols, vals
+        # each row's squares summed left to right, in ascending column order
+        norm = np.sqrt(np.bincount(row, weights=vals * vals, minlength=n))
+        vals /= norm[row]
+        return row_ptr, cols, vals
 
     def transform(self, text: str) -> np.ndarray:
         """Feature vector for one text; bit-identical across calls."""
@@ -190,8 +209,9 @@ class Featurizer:
                 raise ValidationError(
                     f"tfidf idf has shape {idf.shape} for {len(tokens)} vocabulary tokens"
                 )
-            if not np.all(np.isfinite(idf) & (idf > 0.0)):
-                raise ValidationError("tfidf idf entries must be finite and positive")
+            # fit_featurizer's idf is at least 1, so no row's squares underflow
+            if not np.all(np.isfinite(idf) & (idf >= 1.0)):
+                raise ValidationError("tfidf idf entries must be finite and at least 1")
             return cls(cfg, vocab, idf)
         return cls(cfg)
 

@@ -208,9 +208,11 @@ def train(
         dev_rows = featurizer.transform_rows(dev_set.texts)
         y_dev = np.asarray(dev_set.labels, dtype=np.int64)
 
+    used, compact = column_map(cols, featurizer.dim)
+    if len(used) == 0:
+        raise ValidationError("no training text yields a feature")
     rng = Rng(config.seed)
     params = init_params(featurizer.dim, config.embed_dim, n_classes, rng)
-    used, compact = column_map(cols, featurizer.dim)
     rows = (row_ptr, compact, vals)
     work = ModelParams(**{**params.tensors(), "w1": params.w1[used]})
     state = AdamState.for_params(work)

@@ -17,6 +17,7 @@ list at a time, as it ran before it combined whole blocks.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
@@ -49,7 +50,12 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
 
 def dense_transform(featurizer: Featurizer, text: str) -> np.ndarray:
     """Feature vector for one text, built token by token in a dense row:
-    count, scale by idf (tf-idf), then divide by the L2 norm when nonzero."""
+    count, scale by idf (tf-idf), then divide by the L2 norm when nonzero.
+
+    The norm is the square root of a fixed sum: the squares of the row's
+    nonzero values, added one at a time from 0.0 in ascending column order.
+    A BLAS dot product, or numpy's pairwise sum, may group the same squares
+    otherwise and differ in the last bit."""
     tokens = tokenize(text, featurizer.config.lowercase)
     vec = np.zeros(featurizer.dim, dtype=np.float64)
     if featurizer.config.mode == "hashing":
@@ -63,7 +69,10 @@ def dense_transform(featurizer: Featurizer, text: str) -> np.ndarray:
             if idx is not None:
                 vec[idx] += 1.0
         vec *= featurizer.idf
-    norm = np.sqrt(np.dot(vec, vec))
+    sq = 0.0
+    for v in vec[vec != 0.0].tolist():
+        sq += v * v
+    norm = math.sqrt(sq)
     if norm > 0.0:
         vec /= norm
     return vec

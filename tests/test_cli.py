@@ -505,14 +505,28 @@ def test_train_bad_config_exits_with_one_error_line(workspace, tmp_path, flags, 
     assert option in line
 
 
-def test_tfidf_without_a_training_token_exits_2(tmp_path):
+def _tokenless_dataset(tmp_path) -> Path:
+    """Four texts that are empty or punctuation only, so none has a token."""
     data = tmp_path / "data.jsonl"
     data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n" for text, label
                             in [("!!!", "a"), ("...", "b"), ("", "a"), ("?", "b")]))
-    argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
-            "--featurizer", "tfidf", "--epochs", "1"]
+    return data
+
+
+def test_tfidf_without_a_training_token_exits_2(tmp_path):
+    argv = ["train", "--dataset", str(_tokenless_dataset(tmp_path)),
+            "--out", str(tmp_path / "run"), "--featurizer", "tfidf", "--epochs", "1"]
     line = _run_expecting_one_error_line(argv, 2)
     assert "no training text yields a token" in line
+    assert not (tmp_path / "run" / "checkpoint.dknm").exists()
+
+
+def test_hashing_without_a_training_feature_exits_2(tmp_path):
+    """Every text would be the zero vector, and the model b1 alone."""
+    argv = ["train", "--dataset", str(_tokenless_dataset(tmp_path)),
+            "--out", str(tmp_path / "run"), "--epochs", "1"]
+    line = _run_expecting_one_error_line(argv, 2)
+    assert "no training text yields a feature" in line
     assert not (tmp_path / "run" / "checkpoint.dknm").exists()
 
 

@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dknn import features
 from dknn.exceptions import ValidationError
 from dknn.features import (
     Featurizer,
@@ -13,6 +18,7 @@ from dknn.features import (
     take_rows,
     tokenize,
 )
+from dknn.harness import SyntheticSpec, generate_synthetic
 from dknn.rng import Rng
 from oracles import dense_transform, densify
 
@@ -135,8 +141,9 @@ class TestSerialization:
         lambda d: d.update(idf=[float("inf")] + d["idf"][1:]),
         lambda d: d.update(idf=[0.0] + d["idf"][1:]),
         lambda d: d.update(idf=[-1.0] + d["idf"][1:]),
+        lambda d: d.update(idf=[0.5] + d["idf"][1:]),
         lambda d: d.update(vocabulary=["a", "a"] + d["vocabulary"][2:]),
-    ], ids=["short", "long", "nan", "inf", "zero", "negative", "duplicate-token"])
+    ], ids=["short", "long", "nan", "inf", "zero", "negative", "below-one", "duplicate-token"])
     def test_bad_tfidf_idf_rejected(self, edit):
         d = fit_featurizer(["a b c", "b c d"], FeaturizerConfig(mode="tfidf")).to_dict()
         edit(d)
@@ -150,8 +157,9 @@ class TestSerialization:
 
 OOV_CORPUS = ["alpha beta gamma", "beta gamma delta", "Gamma, delta; epsilon!"]
 _rng = Rng(1)
-# long rows over many idf values: a norm summed over the nonzeros alone
-# would differ in the last bit from the dense one on about a quarter of them
+# long rows over many idf values: on about half of them, a norm summed in
+# another order (numpy's pairwise sum, a BLAS dot product) differs in the
+# last bit from the left-to-right sum of transform_rows and the oracle
 LONG_TEXTS = [
     " ".join(f"w{_rng.bounded(400)}" for _ in range(_rng.bounded(60) + 20))
     for _ in range(60)
@@ -237,3 +245,62 @@ def test_transform_rows_of_no_texts():
     row_ptr, cols, vals = f.transform_rows([])
     assert row_ptr.tolist() == [0] and len(cols) == len(vals) == 0
     assert f.transform_many([]).shape == (0, 16)
+
+
+# pieces whose tokens repeat, change case, drop out (punctuation only), fall
+# out of the tf-idf vocabulary or change length when lowercased
+PIECES = ["a", "A", "cat", "Cat", "CAT", "cat,", "(cat)", "dog", "dog!", "!!!", "...",
+          "-", "x-y", "héllo", "HÉLLO", "ß", "İ", "ǅ", "w1", "w2", "oov", "OOV?"]
+# str.split whitespace, ASCII and not
+SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1f"]
+BATCH_TEXTS = st.lists(
+    st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)), max_size=10)
+    .map(lambda parts: "".join(piece + sep for piece, sep in parts))
+    | st.sampled_from(["", " \u3000 ", "!!! ...", "a a a a", "Cat cat CAT"]),
+    max_size=12,
+)
+VOCAB_CORPUS = [" ".join(p for p in PIECES if "oov" not in p.lower())]
+
+
+@pytest.mark.parametrize(
+    "featurizer",
+    [
+        fit_featurizer([], FeaturizerConfig(dim=16)),
+        fit_featurizer([], FeaturizerConfig(dim=4096, lowercase=False)),
+        fit_featurizer(VOCAB_CORPUS, FeaturizerConfig(mode="tfidf")),
+        fit_featurizer(VOCAB_CORPUS, FeaturizerConfig(mode="tfidf", lowercase=False)),
+    ],
+    ids=["hash-16", "hash-4096-cased", "tfidf", "tfidf-cased"],
+)
+@settings(max_examples=150, deadline=None)
+@given(texts=BATCH_TEXTS, block=st.integers(1, 5))
+def test_a_row_does_not_depend_on_its_batch(featurizer, texts, block):
+    """Row i of a batch, cut into blocks of any size, has the bytes of the
+    text featurized alone, which are the dense oracle's."""
+    with mock.patch.object(features, "FEATURIZE_BLOCK", block):
+        row_ptr, cols, vals = featurizer.transform_rows(texts)
+    assert row_ptr.shape == (len(texts) + 1,) and row_ptr.dtype == np.int64
+    for i, text in enumerate(texts):
+        one_ptr, one_cols, one_vals = featurizer.transform_rows([text])
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        assert one_ptr.tolist() == [0, hi - lo]
+        assert cols[lo:hi].tobytes() == one_cols.tobytes()
+        assert vals[lo:hi].tobytes() == one_vals.tobytes()
+        got = densify((one_ptr, one_cols, one_vals), featurizer.dim)[0]
+        assert got.tobytes() == dense_transform(featurizer, text).tobytes()
+
+
+def test_transform_rows_peak_memory_stays_near_its_output():
+    """8,000 serve-shape texts: the output is about 3.7 MB of CSR arrays. A
+    per-token loop that builds Python lists peaked at 2.1-2.2x its output,
+    and one block of all the texts peaks at about 8x. Blocks keep the peak
+    under 3x, within 1.5x of the per-token loop."""
+    texts = generate_synthetic(SyntheticSpec(n=8000, seed=1)).texts
+    featurizer = fit_featurizer([], FeaturizerConfig())
+    tracemalloc.start()
+    try:
+        rows = featurizer.transform_rows(texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(a.nbytes for a in rows)
