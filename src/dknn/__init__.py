@@ -29,7 +29,6 @@ from .harness import (
 )
 from .mathcore import is_distribution, sharpen
 from .model import (
-    Gradients,
     LLConfig,
     LossBreakdown,
     ModelParams,

@@ -101,8 +101,9 @@ class FeaturizerConfig:
     def validate(self) -> None:
         if self.mode not in ("hashing", "tfidf"):
             raise ValidationError(f"unknown featurizer mode {self.mode!r}")
-        if self.dim < 1:
-            raise ValidationError("featurizer dim must be positive")
+        # the checkpoint header stores F as u32
+        if not 1 <= self.dim < 2**32:
+            raise ValidationError(f"featurizer dim must be in [1, 2^32), got {self.dim}")
 
 
 @dataclass

@@ -16,10 +16,11 @@ backprop); finite differences are only used as a test oracle.
 Both passes take feature rows in CSR form. A training step
 (batch_loss_and_gradients) works over the batch's live columns: the L
 distinct columns its rows use (column_map), against F in all. It multiplies
-the dense (B, L) block of the rows by those L rows of W1 and returns dW1 as
-the same L rows, so its cost follows L, not F. The inference forward
-(forward_batch) reduces each row over its own entries in blocks of
-FORWARD_BLOCK rows, so a row's bits never depend on the rest of its batch.
+the dense (B, L) block of the rows by those L rows of W1 and writes dW1
+into those L rows of a zeroed array shaped like W1, so its products follow
+L, not F. The inference forward (forward_batch) reduces each row over its
+own entries in blocks of FORWARD_BLOCK rows, so a row's bits never depend
+on the rest of its batch.
 The dense first form of the step is kept in ``tests/oracles.py``.
 """
 
@@ -113,32 +114,6 @@ class LossBreakdown:
     total: float
     # share of off-diagonal label pairs with a positive hinge (0.0 without cl)
     active_hinge_fraction: float = 0.0
-
-
-@dataclass
-class Gradients:
-    """Gradients of one training step, named as the ModelParams tensors.
-
-    dL/dW1 is kept by rows: ``w1`` holds rows ``w1_rows`` of it (the batch's
-    live feature columns, ascending), and every other row is exactly +0.0.
-    The other tensors are whole."""
-
-    w1_rows: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    label_emb: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """The stored arrays in ModelParams order; w1 is the (L, d) row block."""
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "label_emb": self.label_emb,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +236,13 @@ def batch_loss_and_gradients(
     y: np.ndarray,
     params: ModelParams,
     cfg: LLConfig,
-) -> tuple[LossBreakdown, Gradients]:
+) -> tuple[LossBreakdown, ModelParams]:
     """Mean loss over a batch of CSR feature rows ``(row_ptr, cols, vals)``,
     as forward_batch takes them, and its analytic gradients.
 
     The first layer runs over the batch's L live columns (see the module
-    docstring and Gradients). Per-example quantities (alpha, M, q) are computed for every row; the
+    docstring): every other row of the w1 gradient is exactly +0.0.
+    Per-example quantities (alpha, M, q) are computed for every row; the
     batch loss is the arithmetic mean of per-example losses and gradients
     are the matching means.
     """
@@ -376,9 +352,10 @@ def batch_loss_and_gradients(
 
     dh = dz2 @ params.w2.T + dh_att
     dz1 = dh * (1.0 - h * h)
-    grads = Gradients(
-        w1_rows=live,
-        w1=x.T @ dz1,
+    d_w1 = np.zeros_like(params.w1)
+    d_w1[live] = x.T @ dz1
+    grads = ModelParams(
+        w1=d_w1,
         b1=dz1.sum(axis=0),
         w2=h.T @ dz2,
         b2=dz2.sum(axis=0),

@@ -28,7 +28,6 @@ from .artifacts import write_atomic
 from .exceptions import NonFiniteError, ValidationError
 from .features import Featurizer, take_rows
 from .model import (
-    Gradients,
     LLConfig,
     ModelParams,
     batch_loss_and_gradients,
@@ -60,8 +59,9 @@ class TrainConfig:
             raise ValidationError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.embed_dim < 1:
-            raise ValidationError("embed_dim must be >= 1")
+        # the checkpoint header stores d as u32
+        if not 1 <= self.embed_dim < 2**32:
+            raise ValidationError(f"embed_dim must be in [1, 2^32), got {self.embed_dim}")
         self.ll.validate()
 
 
@@ -90,12 +90,11 @@ def save_history(history: TrainHistory, path) -> None:
 
 @dataclass
 class AdamState:
-    """Adam moments per tensor. ``scratch`` holds two work arrays per
-    tensor, so a step allocates no full-size temporaries."""
+    """Adam moments per tensor. ``adam_step`` consumes the gradients it is
+    given: each becomes the work array of its own update."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
     step: int = 0
 
     @classmethod
@@ -104,19 +103,19 @@ class AdamState:
         return cls(
             m={k: np.zeros_like(t) for k, t in tensors.items()},
             v={k: np.zeros_like(t) for k, t in tensors.items()},
-            scratch={k: (np.empty_like(t), np.empty_like(t)) for k, t in tensors.items()},
         )
 
 
 def adam_step(
-    params: ModelParams, grads: Gradients, state: AdamState, config: TrainConfig
+    params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ) -> None:
     """Standard bias-corrected Adam update, applied in place to params/state.
 
-    Every tensor updates whole. The w1 gradient rows go into w1's first work
-    array, zeroed, so the rows the step leaves out get the +0.0 that the
-    dense gradient holds. A row no step has given yet keeps its bits: its m
-    and v stay +0.0, and the row loses +0.0. Under train, w1 is U x d.
+    Every tensor updates whole. The step consumes ``grads``: each gradient
+    array is overwritten as its update's numerator, so a caller that needs
+    a gradient afterwards passes a copy. A row whose gradient has been +-0
+    at every step keeps its bits: its m and v stay +0.0, and the row loses
+    +0.0. Under train, w1 is U x d.
     """
     gtensors = grads.tensors()
     for name, grad in gtensors.items():
@@ -127,34 +126,30 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    g = gtensors["w1"] = state.scratch["w1"][0]
-    g.fill(0.0)
-    g[grads.w1_rows] = grads.w1
     for name, tensor in params.tensors().items():
         _adam_update(tensor, gtensors[name], state.m[name], state.v[name],
-                     bc1, bc2, config.learning_rate, *state.scratch[name])
+                     bc1, bc2, config.learning_rate)
 
 
-def _adam_update(tensor, g, m, v, bc1: float, bc2: float, lr: float, num, den) -> None:
+def _adam_update(tensor, g, m, v, bc1: float, bc2: float, lr: float) -> None:
     """tensor -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
-    updates, with every intermediate in the work arrays ``num`` and ``den``
-    and every operation in the order of that expression, so the bits are
-    those of the plain form (``tests/oracles.py::dense_adam_step``). ``g``
-    may be ``num`` itself: g is last read where num is first written."""
-    np.multiply(g, g, out=den)
-    np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+    updates, with ``g`` as the numerator's work array, one temporary for the
+    denominator and every operation in the order of that expression, so the
+    bits are those of the plain form (``tests/oracles.py::dense_adam_step``)."""
+    den = g * g
+    g *= 1.0 - ADAM_BETA1
     m *= ADAM_BETA1
-    m += num
+    m += g
     v *= ADAM_BETA2
     den *= 1.0 - ADAM_BETA2
     v += den
-    np.divide(m, bc1, out=num)
-    num *= lr
+    np.divide(m, bc1, out=g)
+    g *= lr
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
     den += ADAM_EPS
-    num /= den
-    tensor -= num
+    g /= den
+    tensor -= g
 
 
 def init_params(
@@ -233,11 +228,13 @@ def train(
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch + 1}, batch start {start}"
                 )
+            # norms first: Adam overwrites the gradients
+            norm_sums += [math.sqrt((g * g).sum()) for g in grads.tensors().values()]
             adam_step(work, grads, state, config)
+            del grads  # so the next step's gradients do not sit beside these
             sums += np.array(
                 [breakdown.ce, breakdown.kl, breakdown.cl, breakdown.active_hinge_fraction]
             ) * len(idx)
-            norm_sums += [np.linalg.norm(g) for g in grads.tensors().values()]
             steps += 1
         ce, kl, cl, active = (sums / n).tolist()
         dev_acc = None

@@ -26,7 +26,6 @@ from dknn.exceptions import ValidationError
 from dknn.features import Featurizer, fnv1a64, tokenize
 from dknn.mathcore import CE_EPS, KL_EPS, softmax_rows
 from dknn.model import (
-    Gradients,
     LLConfig,
     LossBreakdown,
     ModelParams,
@@ -331,15 +330,6 @@ def densify(rows: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int) -> np.nda
     return out
 
 
-def dense_gradients(grads: Gradients, feature_dim: int) -> ModelParams:
-    """Every gradient of a step as a whole tensor, w1 scattered into (F, d)
-    zeros."""
-    w1 = np.zeros((feature_dim, grads.w1.shape[1]))
-    w1[grads.w1_rows] = grads.w1
-    return ModelParams(w1=w1, b1=grads.b1, w2=grads.w2, b2=grads.b2,
-                       label_emb=grads.label_emb)
-
-
 def _one_example(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.feature_dim,):
@@ -354,9 +344,8 @@ def total_loss(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> Los
 
 
 def gradients(x: np.ndarray, y: int, params: ModelParams, cfg: LLConfig) -> ModelParams:
-    """Analytic gradients of ``total_loss`` for one dense feature vector, as
-    whole tensors."""
-    return dense_gradients(_one_example(x, y, params, cfg)[1], params.feature_dim)
+    """Analytic gradients of ``total_loss`` for one dense feature vector."""
+    return _one_example(x, y, params, cfg)[1]
 
 
 def dense_loss_and_gradients(

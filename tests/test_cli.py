@@ -371,6 +371,10 @@ def _featurizer_dim_overflow(out, tmp_path):
     return ["--featurizer-file", str(path)]
 
 
+def _featurizer_dim_u32(out, tmp_path):
+    return _edited_featurizer(out, tmp_path, lambda doc: doc["featurizer"].update(dim=2**32))
+
+
 def _label_names_string(out, tmp_path):
     # as many characters as the model has classes
     return _edited_featurizer(out, tmp_path, lambda doc: doc.update(label_names="abcd"))
@@ -459,6 +463,7 @@ def _store_nan_key(out, tmp_path):
         (_idf_huge_int, 4),
         (_store_nan_key, 4),
         (_featurizer_dim_overflow, 4),
+        (_featurizer_dim_u32, 4),
         (_label_names_string, 4),
         (_label_names_duplicate, 4),
         (_label_names_count, 3),
@@ -472,7 +477,7 @@ def _store_nan_key(out, tmp_path):
     ],
     ids=["k-not-int", "text-and-file", "featurizer-dim", "store-label-range", "nan-weight",
          "idf-truncated", "idf-nan", "idf-negative", "idf-huge-int", "store-nan-key",
-         "featurizer-dim-overflow", "label-names-string", "label-names-duplicate",
+         "featurizer-dim-overflow", "featurizer-dim-u32", "label-names-string", "label-names-duplicate",
          "label-names-count", "vocabulary-not-strings", "lowercase-not-bool",
          "swapped-store", "zero-classes", "zero-width", "zero-features",
          "empty-vocabulary"],
@@ -494,8 +499,14 @@ def test_predict_bad_input_exits_with_one_error_line(workspace, tmp_path, corrup
     [
         (["--rho", "2"], "rho"),
         (["--learning-rate", "nan"], "learning_rate"),
+        # F and d go into the checkpoint header as u32
+        (["--feature-dim", str(2**32)], "featurizer dim"),
+        (["--feature-dim", str(2**60)], "featurizer dim"),
+        (["--embed-dim", str(2**32)], "embed_dim"),
+        (["--embed-dim", str(10**12)], "embed_dim"),
     ],
-    ids=["rho-out-of-range", "learning-rate-nan"],
+    ids=["rho-out-of-range", "learning-rate-nan", "feature-dim-2pow32", "feature-dim-2pow60",
+         "embed-dim-2pow32", "embed-dim-1e12"],
 )
 def test_train_bad_config_exits_with_one_error_line(workspace, tmp_path, flags, option):
     root, data, out = workspace

@@ -15,7 +15,6 @@ from dknn.rng import Rng
 from dknn.trainer import TrainConfig, save_history, train
 from oracles import (
     csr_rows,
-    dense_gradients,
     gradients,
     label_attention,
     label_similarity,
@@ -124,7 +123,7 @@ def test_batch_gradient_is_mean_of_singles():
     cfg = LLConfig()
     _, batch = batch_loss_and_gradients(csr_rows(x), y, params, cfg)
     singles = [gradients(x[i], int(y[i]), params, cfg) for i in range(4)]
-    for name, tensor in dense_gradients(batch, 20).tensors().items():
+    for name, tensor in batch.tensors().items():
         mean = np.mean([s.tensors()[name] for s in singles], axis=0)
         np.testing.assert_allclose(tensor, mean, atol=1e-12)
 
@@ -138,6 +137,9 @@ def test_gradients_finite_on_extreme_inputs():
 
 
 def test_w1_gradient_rows_of_absent_columns_are_zero():
+    """The step writes dW1 into the batch's live rows of a zeroed (F, d)
+    array: every other row is +0.0, with no -0.0, and every live row is
+    nonzero."""
     rng = Rng(21)
     params, _, _ = random_instance(31)
     x = rng.normals(6 * 20).reshape(6, 20) * 0.5
@@ -146,11 +148,10 @@ def test_w1_gradient_rows_of_absent_columns_are_zero():
     y = np.array([rng.bounded(5) for _ in range(6)])
     _, grads = batch_loss_and_gradients(csr_rows(x), y, params, LLConfig())
     present = np.setdiff1d(np.arange(20), absent)
-    assert np.array_equal(grads.w1_rows, present)
-    assert np.all(np.any(grads.w1 != 0.0, axis=1))
-    d_w1 = dense_gradients(grads, 20).w1
-    assert np.all(d_w1[absent] == 0.0)
-    assert not np.any(np.signbit(d_w1[absent]))
+    assert grads.w1.shape == params.w1.shape
+    assert np.all(np.any(grads.w1[present] != 0.0, axis=1))
+    assert np.all(grads.w1[absent] == 0.0)
+    assert not np.any(np.signbit(grads.w1[absent]))
 
 
 def test_single_example_w1_gradient_is_outer_product():
@@ -159,7 +160,7 @@ def test_single_example_w1_gradient_is_outer_product():
     x[[2, 5]] = 0.0
     _, grads = batch_loss_and_gradients(csr_rows(x[None, :]), np.array([y]), params,
                                         LLConfig())
-    assert np.array_equal(dense_gradients(grads, len(x)).w1, np.outer(x, grads.b1))
+    assert np.array_equal(grads.w1, np.outer(x, grads.b1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +198,22 @@ def test_step_matches_reference(kl, cl, c, batch, rho, label_scale, seed):
     want, ref = reference_loss_and_gradients(x, y, params, cfg)
     for name in LOSS_FIELDS:
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
-    for name, tensor in dense_gradients(step, f).tensors().items():
+    for name, tensor in step.tensors().items():
         expected = ref.tensors()[name]
         assert tensor.shape == expected.shape
         assert np.all(np.abs(tensor - expected) <= 1e-12 * (1.0 + np.abs(expected))), name
     if not (kl or cl):
         # Bit for bit against the first form over the batch's live columns.
         # Dropping all-zero columns changes the math of nothing, but it can
-        # change how a 1-row GEMV groups its F-term sums.
+        # change how a 1-row GEMV groups its F-term sums. Rows of dW1 outside
+        # the live columns are +0.0.
         live = np.flatnonzero(x.any(axis=0))
-        assert np.array_equal(step.w1_rows, live)
+        dead = np.setdiff1d(np.arange(f), live)
+        assert np.all(step.w1[dead] == 0.0) and not np.any(np.signbit(step.w1[dead]))
         sub = ModelParams(**{**params.tensors(), "w1": params.w1[live]})
         want, ref = reference_loss_and_gradients(x[:, live], y, sub, cfg)
         assert got == want
-        for name, tensor in step.tensors().items():
+        for name, tensor in {**step.tensors(), "w1": step.w1[live]}.items():
             expected = ref.tensors()[name]
             assert np.array_equal(tensor, expected), name
             assert np.array_equal(np.signbit(tensor), np.signbit(expected)), name

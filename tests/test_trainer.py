@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dknn
 from dknn import trainer as trainer_mod
 from dknn.exceptions import NonFiniteError, ValidationError
 from dknn.features import FeaturizerConfig, fit_featurizer
-from dknn.harness import Dataset
+from dknn.harness import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from dknn.mathcore import softmax_rows
-from dknn.model import Gradients, LLConfig, ModelParams
+from dknn.model import LLConfig, ModelParams
 from dknn.rng import Rng
 from dknn.trainer import (
     ADAM_BETA1,
@@ -49,10 +54,9 @@ def small_featurizer():
     return fit_featurizer([], FeaturizerConfig(dim=64))
 
 
-def row_grads(dense: ModelParams, rows) -> Gradients:
-    """The gradients ``dense`` with w1 handed over as its rows ``rows``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return Gradients(w1_rows=rows, **{**dense.tensors(), "w1": dense.w1[rows]})
+def copied(grads: ModelParams) -> ModelParams:
+    """A whole copy of ``grads``, for adam_step to consume."""
+    return ModelParams(**{k: t.copy() for k, t in grads.tensors().items()})
 
 
 def ce_only_config(**kw) -> TrainConfig:
@@ -68,8 +72,7 @@ class TestAdam:
         params = self._params()
         before = {k: t.copy() for k, t in params.tensors().items()}
         grads = ModelParams(**{k: np.zeros_like(t) for k, t in params.tensors().items()})
-        adam_step(params, row_grads(grads, [0, 1, 2]), AdamState.for_params(params),
-                  TrainConfig())
+        adam_step(params, grads, AdamState.for_params(params), TrainConfig())
         for k, t in params.tensors().items():
             assert np.array_equal(t, before[k])
 
@@ -84,7 +87,7 @@ class TestAdam:
             label_emb=np.zeros_like(params.label_emb),
         )
         cfg = TrainConfig(learning_rate=1e-3)
-        adam_step(params, row_grads(grads, [0, 1, 2]), AdamState.for_params(params), cfg)
+        adam_step(params, grads, AdamState.for_params(params), cfg)
         delta = params.w1 - before
         # closed form first step: -lr * g / (|g| + eps)
         expected = -cfg.learning_rate * 0.37 / (0.37 + ADAM_EPS)
@@ -97,14 +100,13 @@ class TestAdam:
         state = AdamState.for_params(params)
         state.step = 41
         with pytest.raises(NonFiniteError, match="w2.*step 42"):
-            adam_step(params, row_grads(grads, [0]), state, TrainConfig())
+            adam_step(params, grads, state, TrainConfig())
 
     def test_live_rows_match_dense_adam_bitwise(self):
-        """Rows go live at different steps; a -0.0 entry sits both in an
-        all-zero row and in a nonzero one. The w1 gradient comes as rows that
-        include rows 1 and 4 at every step, both all zero at step 1 (row 1 is
-        nonzero first at step 3). Params and both moments must equal dense
-        Adam over every entry, bit for bit."""
+        """Rows of the w1 gradient go live at different steps; a -0.0 entry
+        sits both in an all-zero row (row 4, never nonzero) and in a nonzero
+        one. Params and both moments must equal dense Adam over every
+        entry, bit for bit."""
         params = init_params(6, 3, 4, Rng(3))
         params.w1[5, 0] = -0.0
         ref = {k: t.copy() for k, t in params.tensors().items()}
@@ -121,11 +123,11 @@ class TestAdam:
             mask = np.zeros(len(grads.w1), dtype=bool)
             mask[rows] = True
             grads.w1[~mask] = 0.0
-            grads.w1[4, 1] = -0.0  # row 4 is never nonzero
+            grads.w1[4, 1] = -0.0
             if rows:
                 grads.w1[rows[0], 2] = -0.0
             grads.label_emb[1] = 0.0  # a row of another 2-D tensor stays zero
-            adam_step(params, row_grads(grads, sorted({*rows, 1, 4})), state, cfg)
+            adam_step(params, copied(grads), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
                             cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
@@ -134,10 +136,11 @@ class TestAdam:
                     assert np.array_equal(np.signbit(got[k]), np.signbit(want[k])), (step, k)
 
     def test_dead_zero_row_keeps_its_state_and_all_live_w1_matches_dense(self):
-        """Step 1 hands over w1 rows [0, 1, 2, 3] with rows 1 and 3 all +-0:
-        rows 1 and 3 must stay untouched with zero moments, and row 2's
-        update must land on row 2. Step 3 gives only row 0, so the other
-        rows update with a +0.0 gradient, as dense Adam does."""
+        """At step 1 rows 1 and 3 of the w1 gradient are all +-0: they must
+        stay untouched with zero moments, while rows 0 and 2 update in
+        place. Step 2 makes rows 1 and 3 live, and step 3 zeroes every row
+        but row 0, so the others update with a +0.0 gradient, as dense Adam
+        does."""
         params = init_params(4, 2, 2, Rng(4))
         ref = {k: t.copy() for k, t in params.tensors().items()}
         m_ref = {k: np.zeros_like(t) for k, t in ref.items()}
@@ -145,9 +148,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=1e-2)
         rng = Rng(9)
-        for step, (given, nonzero) in enumerate(
-            [([0, 1, 2, 3], [0, 2]), ([1, 3], [1, 3]), ([0], [0])], 1
-        ):
+        for step, nonzero in enumerate([[0, 2], [1, 3], [0]], 1):
             grads = ModelParams(**{
                 k: rng.normals(t.size).reshape(t.shape) for k, t in ref.items()
             })
@@ -156,11 +157,12 @@ class TestAdam:
             if step == 1:
                 grads.w1[1, 1] = -0.0
             w1_before = params.w1.copy()
-            adam_step(params, row_grads(grads, given), state, cfg)
+            adam_step(params, copied(grads), state, cfg)
             dense_adam_step(ref, grads.tensors(), m_ref, v_ref, step,
                             cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
             if step == 1:
                 assert np.array_equal(params.w1[[1, 3]], w1_before[[1, 3]])
+                assert not (params.w1[[0, 2]] == w1_before[[0, 2]]).any()
                 assert not state.m["w1"][[1, 3]].any() and not state.v["w1"][[1, 3]].any()
             for got, want in ((params.tensors(), ref), (state.m, m_ref), (state.v, v_ref)):
                 for k in want:
@@ -455,3 +457,33 @@ def test_history_jsonl_round_trip(tmp_path):
     assert list(rec) == ["epoch", "ce", "kl", "cl", "total", "dev_accuracy",
                          "grad_norm", "active_hinge_fraction"]
     assert list(rec["grad_norm"]) == ["w1", "b1", "w2", "b2", "label_emb"]
+
+
+def test_history_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Gradient norms sum in a fixed order, so ``dknn train`` writes the same
+    history.jsonl at 1 and 2 BLAS threads. The w1 gradient, U x d entries,
+    is above the 10,000 past which OpenBLAS splits a dot product across
+    threads (a BLAS-dot norm changed 3 to 8 of these 16 records, by kernel).
+    Every GEMM of the step stays at or below M*N*K = 262,144, where OpenBLAS
+    runs a GEMM on one thread: above it, the Haswell, Zen and Prescott
+    kernels change GEMM bits with the thread count. The batch is the whole
+    set, so each record holds one step's norms, with no mean over steps to
+    round a last-bit change away."""
+    ds = generate_synthetic(SyntheticSpec(n=10, seed=11))
+    data = tmp_path / "data.jsonl"
+    save_dataset(ds, data)
+    d = 96
+    used = len(np.unique(fit_featurizer([], FeaturizerConfig()).transform_rows(ds.texts)[1]))
+    assert used * d > 10_000 and ds.n * used * d <= 262_144
+    histories = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(dknn.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"run{threads}"
+        subprocess.run([sys.executable, "-m", "dknn.cli", "train", "--dataset", str(data),
+                        "--out", str(out), "--batch-size", "16", "--epochs", "16",
+                        "--embed-dim", str(d), "--dev-ratio", "0", "--seed", "11"],
+                       check=True, capture_output=True, env=env, timeout=120)
+        histories.append((out / "history.jsonl").read_bytes())
+    assert histories[0].count(b"\n") == 16
+    assert histories[0] == histories[1]
