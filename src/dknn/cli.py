@@ -115,8 +115,6 @@ class Option:
         if self.kind in ("bool", "flag"):
             return _parse_bool(str(raw), self.key)
         if self.kind == "floats":
-            if isinstance(raw, (list, tuple)):
-                return [self._number(float, v) for v in raw]
             parts = [p for p in str(raw).split(",") if p.strip() != ""]
             if not parts:
                 raise ValidationError(f"{self.key}: empty value list")

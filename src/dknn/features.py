@@ -12,7 +12,6 @@ order, so tf-idf values do not depend on the BLAS kernel.
 
 from __future__ import annotations
 
-import functools
 import string
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,6 +26,7 @@ _MASK64 = (1 << 64) - 1
 
 DEFAULT_HASH_DIM = 4096
 FEATURIZE_BLOCK = 256  # texts per block of transform_rows; no bit depends on it
+MAX_PIECES = 1 << 16  # pieces a featurizer's piece map holds before it starts over
 
 
 def fnv1a64(data: bytes | str) -> int:
@@ -40,20 +40,21 @@ def fnv1a64(data: bytes | str) -> int:
     return h
 
 
-# The vocabulary of a corpus repeats, so each token is hashed once per
-# process while it stays among the most recent 65,536.
-_token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a64)
+def _token(raw: str, lowercase: bool) -> str:
+    """The token of one whitespace piece; empty if the piece is dropped."""
+    tok = raw.strip(string.punctuation)
+    return tok.lower() if lowercase else tok
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    toks = (raw.strip(string.punctuation) for raw in text.split())
-    return [tok.lower() if lowercase else tok for tok in toks if tok]
+    return [tok for tok in (_token(raw, lowercase) for raw in text.split()) if tok]
 
 
 class _PieceColumns(dict):
-    """Whitespace piece -> column, -1 if its token is dropped or unknown. A
-    piece is tokenized, as ``tokenize`` does it, on its first read, so
-    ``map`` over ``__getitem__`` stays in C for every repeat."""
+    """Whitespace piece -> column (-1: token dropped or unknown), mapped on its
+    first read, so ``map`` over ``__getitem__`` stays in C for every repeat. A
+    memo of a pure function: it starts over at MAX_PIECES pieces, and a thread
+    that races another's ``clear`` just recomputes a column."""
 
     __slots__ = ("lowercase", "dim", "vocabulary")
 
@@ -62,15 +63,15 @@ class _PieceColumns(dict):
         self.vocabulary = featurizer.vocabulary if featurizer.config.mode == "tfidf" else None
 
     def __missing__(self, raw: str) -> int:
-        tok = raw.strip(string.punctuation)
-        if self.lowercase:
-            tok = tok.lower()
+        tok = _token(raw, self.lowercase)
         if not tok:
             col = -1
         elif self.vocabulary is None:
-            col = _token_hash(tok) % self.dim
+            col = fnv1a64(tok) % self.dim
         else:
             col = self.vocabulary.get(tok, -1)
+        if len(self) >= MAX_PIECES:
+            self.clear()
         self[raw] = col
         return col
 
@@ -92,7 +93,7 @@ def take_rows(
     return new_ptr, cols[pos], vals[pos]
 
 
-@dataclass
+@dataclass(frozen=True)  # a featurizer's piece map is built from it once
 class FeaturizerConfig:
     mode: str = "hashing"  # "hashing" | "tfidf"
     dim: int = DEFAULT_HASH_DIM  # hashing dimension; ignored by tfidf
@@ -113,6 +114,10 @@ class Featurizer:
     config: FeaturizerConfig
     vocabulary: dict[str, int] = field(default_factory=dict)  # tfidf only
     idf: np.ndarray = field(default_factory=lambda: np.zeros(0))  # tfidf only
+    _columns: _PieceColumns = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._columns = _PieceColumns(self)
 
     @property
     def dim(self) -> int:
@@ -124,28 +129,25 @@ class Featurizer:
         """Feature rows of ``texts`` as CSR ``(row_ptr, cols, vals)``.
 
         Row i keeps its nonzero columns ``cols[row_ptr[i]:row_ptr[i + 1]]`` in
-        ascending order, with their values. Each distinct whitespace piece is
-        tokenized and mapped to a column once per call. Blocks of
+        ascending order, with their values. A whitespace piece is tokenized
+        and mapped to a column on its first read into the piece map. Blocks of
         FEATURIZE_BLOCK texts bound the work arrays; one text is a block of
         one row. A row's bits depend only on its own text, so any split of
         ``texts`` gives the same rows.
         """
-        columns = _PieceColumns(self)
         if len(texts) <= FEATURIZE_BLOCK:  # one block, returned without a copy
-            return self._block_rows(texts, columns)
-        ptrs, cols, vals = zip(*[self._block_rows(texts[lo:lo + FEATURIZE_BLOCK], columns)
+            return self._block_rows(texts)
+        ptrs, cols, vals = zip(*[self._block_rows(texts[lo:lo + FEATURIZE_BLOCK])
                                  for lo in range(0, len(texts), FEATURIZE_BLOCK)])
         row_ptr = np.cumsum(np.concatenate([[0], *map(np.diff, ptrs)]))
         return row_ptr, np.concatenate(cols), np.concatenate(vals)
 
-    def _block_rows(
-        self, texts: list[str], columns: _PieceColumns
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _block_rows(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """transform_rows of one block: every piece's column, one sort of the
         (row, column) keys for the counts, one bincount for the norms."""
-        dim, n = columns.dim, len(texts)
+        dim, n = self._columns.dim, len(texts)
         pieces = list(map(str.split, texts))
-        col = np.fromiter(map(columns.__getitem__, chain.from_iterable(pieces)), np.int64)
+        col = np.fromiter(map(self._columns.__getitem__, chain.from_iterable(pieces)), np.int64)
         key = np.arange(0, n * dim, dim).repeat(np.fromiter(map(len, pieces), np.int64, n))
         key += col
         key = key[col >= 0]

@@ -141,6 +141,15 @@ def _read_records(path: Path, raw: io.BytesIO, fmt: str) -> list[tuple[str, str,
     return records
 
 
+def _dataset_format(path: Path, fmt: str | None) -> str:
+    """``fmt`` if given, else "csv" for a .csv suffix and "jsonl" otherwise."""
+    if fmt is None:
+        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
+    if fmt not in ("jsonl", "csv"):
+        raise ValidationError(f"unknown dataset format {fmt!r}")
+    return fmt
+
+
 def load_dataset(path, fmt: str | None = None) -> Dataset:
     """Read JSONL ({"text","label","coarse"?}) or CSV (header text,label[,coarse]).
 
@@ -149,10 +158,7 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
     must map to the same coarse value everywhere.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown dataset format {fmt!r}")
+    fmt = _dataset_format(path, fmt)
 
     raw = io.BytesIO(read_artifact(path, "dataset"))
     try:
@@ -211,10 +217,7 @@ def save_dataset(dataset: Dataset, path, fmt: str | None = None) -> None:
     """Write JSONL or CSV (by ``fmt``, else by suffix) through write_atomic,
     so a failed write leaves any old file as it was."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown dataset format {fmt!r}")
+    fmt = _dataset_format(path, fmt)
     cols = ["text", "label"] + (["coarse"] if dataset.coarse_of_label is not None else [])
     # encoded as it is written, so only the file's bytes are held at once
     buf = io.BytesIO()
@@ -252,6 +255,11 @@ def split(dataset: Dataset, train_ratio: float, seed: int) -> tuple[Dataset, Dat
     return dataset.subset(perm[:cut]), dataset.subset(perm[cut:])
 
 
+def _check_noise_ratio(ratio: float) -> None:
+    if not 0.0 <= ratio <= 1.0:
+        raise ValidationError("noise_ratio must be in [0, 1]")
+
+
 def inject_noise(dataset: Dataset, noise_ratio: float, seed: int) -> Dataset:
     """Relabel floor(ratio * N) examples chosen uniformly without replacement.
 
@@ -261,8 +269,7 @@ def inject_noise(dataset: Dataset, noise_ratio: float, seed: int) -> Dataset:
     the victims (prefix, in permutation order), then one bounded draw per
     victim chooses the replacement from the sorted candidate list.
     """
-    if not 0.0 <= noise_ratio <= 1.0:
-        raise ValidationError("noise_ratio must be in [0, 1]")
+    _check_noise_ratio(noise_ratio)
     n = dataset.n
     count = int(noise_ratio * n)
     labels = list(dataset.labels)
@@ -419,8 +426,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.repeats < 1:
             raise ValidationError("repeats must be >= 1")
-        if not 0.0 <= self.noise_ratio <= 1.0:
-            raise ValidationError("noise_ratio must be in [0, 1]")
+        _check_noise_ratio(self.noise_ratio)
         self.featurizer.validate()
         self.train.validate()
         self.inference.validate()
@@ -554,6 +560,12 @@ def _run_repeat(
 
 def _execute(cfg: ExperimentConfig, rows: list[RowSpec]) -> ExperimentReport:
     cfg.validate()
+    for row in rows:  # every row, before the first repeat trains a model
+        row.ll.validate()
+        if row.inference is not None:
+            row.inference.validate()
+        if row.noise_ratio is not None:
+            _check_noise_ratio(row.noise_ratio)
     started = time.monotonic()
     per_repeat = [_run_repeat(cfg, rows, r) for r in range(1, cfg.repeats + 1)]
 
@@ -631,27 +643,14 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float]) -> Experim
             k = int(value)
             if k < 0:
                 raise ValidationError("k must be >= 0")
-            if k == 0:
-                rows.append(RowSpec("k=0", cfg.train.ll, None))
-            else:
-                rows.append(RowSpec(f"k={k}", cfg.train.ll, replace(cfg.inference, k=k)))
+            inference = replace(cfg.inference, k=k) if k else None
+            rows.append(RowSpec(f"k={k}", cfg.train.ll, inference))
         elif parameter == "lambda":
-            lam = float(value)
-            if not 0.0 <= lam <= 1.0:
-                raise ValidationError("lambda must be in [0, 1]")
-            if lam == 0.0:
-                rows.append(RowSpec("lambda=0", cfg.train.ll, None))
-            else:
-                rows.append(
-                    RowSpec(f"lambda={lam:g}", cfg.train.ll, replace(cfg.inference, lam=lam))
-                )
+            lam = float(value) or 0.0  # -0.0 names the lambda=0 row too
+            inference = replace(cfg.inference, lam=lam) if lam else None
+            rows.append(RowSpec(f"lambda={lam:g}", cfg.train.ll, inference))
         else:
             ratio = float(value)
-            if not 0.0 <= ratio <= 1.0:
-                raise ValidationError("noise_ratio must be in [0, 1]")
-            rows.append(
-                RowSpec(
-                    f"noise={ratio:g}", cfg.train.ll, cfg.inference, noise_ratio=ratio
-                )
-            )
+            rows.append(RowSpec(f"noise={ratio:g}", cfg.train.ll, cfg.inference,
+                                noise_ratio=ratio))
     return _execute(cfg, rows)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -10,9 +13,10 @@ from hypothesis import strategies as st
 from dknn import features
 from dknn.exceptions import ValidationError
 from dknn.features import (
+    MAX_PIECES,
     Featurizer,
     FeaturizerConfig,
-    _token_hash,
+    _PieceColumns,
     fit_featurizer,
     fnv1a64,
     take_rows,
@@ -50,6 +54,14 @@ class TestTokenize:
 
 
 class TestHashingFeaturizer:
+    def test_config_cannot_change_under_its_piece_map(self):
+        f = fit_featurizer([], FeaturizerConfig(dim=64))
+        f.transform_rows(["A b"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.config.dim = 128
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.config.lowercase = False
+
     def test_fit_ignores_corpus(self):
         f = fit_featurizer([], FeaturizerConfig(mode="hashing", dim=64))
         assert f.dim == 64
@@ -214,17 +226,19 @@ class TestTransformRows:
         assert row_ptr[2] == row_ptr[1] == row_ptr[3] == row_ptr[4]
 
     def test_warm_hash_cache_gives_the_same_bits(self, featurizer):
-        _token_hash.cache_clear()
-        cold = featurizer.transform_rows(EDGE_TEXTS)
-        # warm the cache through featurizers with another dim and case rule
+        """A featurizer's second call reads every piece from its own map and
+        gives the bits of a fresh featurizer; featurizers with another dim or
+        case rule keep their own maps."""
+        cold = Featurizer.from_dict(featurizer.to_dict()).transform_rows(EDGE_TEXTS)
         for other in (FeaturizerConfig(dim=7), FeaturizerConfig(dim=64, lowercase=False)):
             fit_featurizer([], other).transform_rows(EDGE_TEXTS)
-        hits = _token_hash.cache_info().hits
-        warm = featurizer.transform_rows(EDGE_TEXTS)
+        featurizer.transform_rows(EDGE_TEXTS)
+        columns = dict(featurizer._columns)
+        with mock.patch.object(_PieceColumns, "__missing__", side_effect=AssertionError):
+            warm = featurizer.transform_rows(EDGE_TEXTS)
+        assert featurizer._columns == columns
         for a, b in zip(cold, warm, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        if featurizer.config.mode == "hashing":
-            assert _token_hash.cache_info().hits > hits
 
     def test_densify_selected_rows_in_order(self, featurizer):
         """take_rows keeps the rows it is given, in that order, repeats
@@ -238,6 +252,54 @@ class TestTransformRows:
             lo, hi = row_ptr[r], row_ptr[r + 1]
             assert np.array_equal(got_cols[got_ptr[i]:got_ptr[i + 1]], cols[lo:hi])
             assert np.array_equal(got_vals[got_ptr[i]:got_ptr[i + 1]], vals[lo:hi])
+
+
+@pytest.mark.parametrize("mode", ["hashing", "tfidf"])
+def test_piece_map_starts_over_at_its_bound(mode):
+    """More than MAX_PIECES distinct pieces through one featurizer: its map
+    never holds more than MAX_PIECES, and every row, read across the reset
+    or after it, has the bytes of a fresh featurizer's."""
+    texts = [" ".join(f"p{i}_{j}" for j in range(100)) for i in range(MAX_PIECES // 100 + 40)]
+    featurizer = fit_featurizer(texts[::3], FeaturizerConfig(mode=mode))
+    sizes = []
+    for lo in range(0, len(texts), 50):
+        featurizer.transform_rows(texts[lo:lo + 50])
+        sizes.append(len(featurizer._columns))
+    # one reset, then only the pieces read since
+    assert max(sizes) <= MAX_PIECES and sizes[-1] == 100 * len(texts) - MAX_PIECES
+    rows = featurizer.transform_rows(texts[:10] + EDGE_TEXTS)
+    fresh = Featurizer.from_dict(featurizer.to_dict()).transform_rows(texts[:10] + EDGE_TEXTS)
+    for a, b in zip(rows, fresh, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_threads_sharing_a_featurizer_read_its_bits_across_resets():
+    """Four threads share one featurizer whose map starts over every 40
+    pieces, so reads race clears; every row keeps a fresh featurizer's bits."""
+    featurizer = fit_featurizer([], FeaturizerConfig(dim=64))
+    texts = EDGE_TEXTS + LONG_TEXTS[:20]
+    fresh = Featurizer.from_dict(featurizer.to_dict())
+    want = [a.tobytes() for a in fresh.transform_rows(texts)]
+    wrong = []
+
+    def work():
+        for _ in range(60):
+            if [a.tobytes() for a in featurizer.transform_rows(texts)] != want:
+                wrong.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(features, "MAX_PIECES", 40):
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert len(featurizer._columns) <= 40
 
 
 def test_transform_rows_of_no_texts():

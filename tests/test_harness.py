@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dknn import harness
 from dknn.exceptions import ValidationError
 from dknn.features import FeaturizerConfig
 from dknn.harness import (
     Dataset,
     ExperimentConfig,
+    RowSpec,
     SyntheticSpec,
     ablation_suite,
     generate_synthetic,
@@ -300,6 +302,38 @@ class TestAblationSuite:
         r1 = ablation_suite(quick_config())
         r2 = run_experiment(quick_config())
         assert r1.meta["split_hashes"] == r2.meta["split_hashes"]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+class TestRowChecks:
+    """Every row is checked before the first model is trained."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            RowSpec("lam", LLConfig(), InferenceConfig(k=4, lam=1.5)),
+            RowSpec("k", LLConfig(), InferenceConfig(k=0)),
+            RowSpec("rho", LLConfig(rho=2.0), None),
+            RowSpec("noise", LLConfig(), None, noise_ratio=1.5),
+        ],
+        ids=lambda row: row.config_id,
+    )
+    def test_a_bad_row_is_rejected_before_training(self, monkeypatch, row):
+        monkeypatch.setattr(harness, "train", _no_training)
+        cfg = quick_config()
+        with pytest.raises(ValidationError):
+            run_experiment(cfg, [RowSpec("model", cfg.train.ll, None), row])
+
+    @pytest.mark.parametrize("parameter, value", [("lambda", 1.5), ("lambda", -0.5),
+                                                  ("noise_ratio", 1.5), ("k", -1.0)])
+    def test_a_bad_sweep_value_is_rejected_before_training(self, monkeypatch, parameter,
+                                                             value):
+        monkeypatch.setattr(harness, "train", _no_training)
+        with pytest.raises(ValidationError):
+            sweep(quick_config(), parameter, [0.5, value])
 
 
 class TestSweep:
