@@ -167,11 +167,8 @@ class Featurizer:
         return row_ptr, cols, vals
 
     def transform(self, text: str) -> np.ndarray:
-        """Feature vector for one text; bit-identical across calls."""
-        _, cols, vals = self.transform_rows([text])
-        vec = np.zeros(self.dim, dtype=np.float64)
-        vec[cols] = vals
-        return vec
+        """Feature vector for one text: the 1-row case of transform_many."""
+        return self.transform_many([text])[0]
 
     def transform_many(self, texts: list[str]) -> np.ndarray:
         """Stack of transform() rows, shape (len(texts), dim)."""

@@ -17,13 +17,14 @@ DISTRIBUTION_TOL = 1e-9
 
 
 def is_distribution(p, tol: float = DISTRIBUTION_TOL) -> bool:
-    """True if p is a probability vector: nonnegative, sums to 1 within tol."""
+    """True if p is a probability vector, or a (B, c) block whose every row
+    is one: nonnegative, each row summing to 1 within tol."""
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim not in (1, 2) or arr.size == 0:
         return False
     # two reductions: a NaN or -inf fails the min, and a nonnegative row
     # holding +inf sums to +inf
-    return bool(arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= tol)
+    return bool(arr.min() >= 0.0 and abs(arr.sum(axis=-1) - 1.0).max() <= tol)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

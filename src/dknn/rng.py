@@ -17,8 +17,10 @@ documented so it can be reproduced in any language:
 * permutations: Fisher-Yates, iterating i = n-1 .. 1 and swapping with
   ``j = bounded(i + 1)``.
 
-Being counter-based, bulk draws vectorize exactly (the scalar and bulk paths
-produce identical sequences).
+Being counter-based, draw i depends only on (s, i), so the stream has one
+implementation, vectorized: scalar draws pop from a read-ahead of bulk draws,
+and a bulk call drops what is unread and continues from the draws consumed.
+``tests/oracles.py::mix64`` is the finalizer restated one value at a time.
 """
 
 from __future__ import annotations
@@ -32,31 +34,31 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TO_DOUBLE = 2.0 ** -53
-
-
-def mix64(z: int) -> int:
-    """splitmix64 output function (finalizer) on a 64-bit value."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+_READ_AHEAD = 256  # draws computed per refill of the scalar read-ahead
 
 
 class Rng:
     """Counter-based splitmix64 stream (see module docstring)."""
 
-    __slots__ = ("_seed", "_counter")
+    __slots__ = ("_seed", "_counter", "_ahead")
 
     def __init__(self, seed: int) -> None:
         self._seed = seed & _MASK64
-        self._counter = 0
+        self._counter = 0  # draws consumed
+        self._ahead: list[int] = []  # unread draws computed ahead, next one last
 
     def next_u64(self) -> int:
+        """The next draw: the 1-draw case of _bulk, read ahead."""
+        if not self._ahead:
+            self._ahead = self._bulk(_READ_AHEAD)[::-1].tolist()
+            self._counter -= _READ_AHEAD  # computed, not yet consumed
         self._counter += 1
-        return mix64(self._seed + self._counter * _GOLDEN)
+        return self._ahead.pop()
 
     def _bulk(self, n: int) -> np.ndarray:
-        """n consecutive draws as a uint64 array (identical to n next_u64 calls)."""
+        """The next n draws as a uint64 array, after any unread read-ahead
+        is dropped: draw i depends only on (seed, i)."""
+        self._ahead = []
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):

@@ -161,10 +161,8 @@ class RepresentationStore:
             raise ValidationError(
                 f"label {int(labels.max())} out of range for {n_classes} classes"
             )
-        if metric == StoreMetric.KL and keys.shape[0]:
-            sums = keys.sum(axis=1, dtype=np.float64)
-            if keys.min() < 0.0 or np.abs(sums - 1.0).max() > 1e-6:
-                raise ValidationError("KL store keys must be probability rows")
+        if metric == StoreMetric.KL and keys.shape[0] and not is_distribution(keys, tol=1e-6):
+            raise ValidationError("KL store keys must be probability rows")
         self._l2_scan: np.ndarray | None = None
         self._sq_max = 0.0
         if metric == StoreMetric.L2:
@@ -192,37 +190,37 @@ class RepresentationStore:
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    def _kl_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        # smoothed/renormalized keys, widened to float64, and sum(k~ ln k~), cached
-        if self._kl_cache is None:
-            k = self.keys.astype(np.float64)
-            k += KL_EPS
-            k /= k.sum(axis=1, keepdims=True)
-            self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
-        return self._kl_cache
-
-    def _checked_query(self, query: np.ndarray) -> np.ndarray:
-        """The query as f64, after the dim check and, for a KL store, the
-        distribution check."""
+    def distances(self, query: np.ndarray) -> np.ndarray:
+        """f64 distance from every stored key to the query: Euclidean for an
+        L2 store, key-first KL(key || query) for a KL store."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValidationError(
                 f"query dim {q.shape} does not match store dim {self.dim}"
             )
-        if self.metric == StoreMetric.KL and not is_distribution(q, tol=1e-6):
-            raise ValidationError("KL-metric store requires a distribution query")
-        return q
-
-    def distances(self, query: np.ndarray) -> np.ndarray:
-        """f64 distance from every stored key to the query: Euclidean for an
-        L2 store, key-first KL(key || query) for a KL store."""
-        q = self._checked_query(query)
         if self.metric == StoreMetric.L2:
             return _l2_rows(self.keys, q)
-        keys_n, self_term = self._kl_terms()
+        _check_kl_query(q)
+        return self._kl_distances(q)
+
+    def _kl_distances(self, q: np.ndarray) -> np.ndarray:
+        """KL(key || q) for every key, for a distribution q of the store's dim."""
+        if self._kl_cache is None:
+            # smoothed/renormalized keys, widened to float64, and sum(k~ ln k~)
+            k = self.keys.astype(np.float64)
+            k += KL_EPS
+            k /= k.sum(axis=1, keepdims=True)
+            self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
+        keys_n, self_term = self._kl_cache
         qn = q + KL_EPS
         qn = qn / qn.sum()
         return self_term - keys_n @ np.log(qn)
+
+
+def _check_kl_query(q: np.ndarray) -> None:
+    """A KL store's query rule, for one query or a (B, c) block of them."""
+    if not is_distribution(q, tol=1e-6):
+        raise ValidationError("KL-metric store requires a distribution query")
 
 
 def build_stores(
@@ -272,8 +270,10 @@ def query(store: RepresentationStore, q: np.ndarray,
     idx = np.empty((len(rows), limit), dtype=np.int64)
     dist = np.empty((len(rows), limit))
     if store.metric == StoreMetric.KL:
+        if len(rows):
+            _check_kl_query(rows)
         for i, row in enumerate(rows):
-            row_dist = store.distances(row)
+            row_dist = store._kl_distances(row)
             cand = _at_most(row_dist, _kth_smallest(row_dist, limit))
             _rank(cand, row_dist[cand], idx[i], dist[i])
     else:

@@ -11,7 +11,9 @@ before it went over the batch's live columns. ``total_loss`` and
 ``gradients`` run the package's batched step on one dense example, so the
 finite-difference and golden-loss checks test the code that trains.
 ``row_breakdown`` keeps the inference tail one row and one ``Neighbor``
-list at a time, as it ran before it combined whole blocks.
+list at a time, as it ran before it combined whole blocks. ``mix64`` and
+``reference_stream`` restate the random stream one draw at a time in
+Python integers, the form ``dknn.rng`` computes vectorized.
 """
 
 from __future__ import annotations
@@ -690,13 +692,39 @@ def row_breakdown(
 
 
 # ---------------------------------------------------------------------------
+# the random stream, one draw at a time
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """splitmix64 output function (finalizer) on a 64-bit value:
+    z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
+    z ^= z>>31, each product taken mod 2^64."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_stream(seed: int, n: int) -> list[int]:
+    """The first n draws of ``Rng(seed)``: draw i (1-based) is
+    ``mix64((seed + i * 0x9E3779B97F4A7C15) mod 2^64)``."""
+    return [mix64((seed & _MASK64) + i * 0x9E3779B97F4A7C15) for i in range(1, n + 1)]
+
+
+# ---------------------------------------------------------------------------
 # first forms of the distribution check and of the shuffle
 
 
 def reference_is_distribution(p, tol: float) -> bool:
     """Finite, nonnegative entries summing to 1 within tol, each checked on
-    its own: the first form of ``mathcore.is_distribution``."""
+    its own: the first form of ``mathcore.is_distribution``. A (B, c) block
+    with a row passes when each of its rows passes on its own."""
     arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim == 2 and arr.size:
+        return all(reference_is_distribution(row, tol) for row in arr)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
     return bool(np.all(arr >= 0.0) and abs(arr.sum() - 1.0) <= tol)

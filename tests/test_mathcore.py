@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -62,6 +63,9 @@ class TestIsDistribution:
         [-math.inf, 1.0], [math.inf, -math.inf], [-1e-300, 1.0], [-0.25, 1.25],
         [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [0.5, 0.5 + 2e-6], [0.5, 0.5 + 5e-10],
         [], [[0.5, 0.5]], 1.0,
+        [[0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5], [math.nan, 1.0]],
+        [[0.5, 0.5], [0.5, 0.5 + 2e-9]], [[-0.0, 1.0], [1.0, -1e-300]],
+        [[]], [[[0.5, 0.5]]],
     ])
     def test_truth_table_equals_first_form(self, p, tol):
         assert is_distribution(p, tol=tol) == reference_is_distribution(p, tol)
@@ -73,6 +77,16 @@ class TestIsDistribution:
         assert not is_distribution([-1e-300, 1.0])
         assert not is_distribution([0.5, 0.5 + 2e-9])
         assert is_distribution([0.5, 0.5 + 2e-9], tol=1e-6)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_block_of_edge_rows_equals_first_form_of_each_row(self, tol):
+        rows = [[-0.0, 1.0], [math.nan, 1.0], [math.inf, 0.0], [-1e-300, 1.0],
+                [0.5, 0.5 + 2e-9], [0.25, 0.75]]
+        for size in range(1, len(rows) + 1):
+            for block in itertools.combinations(rows, size):
+                want = all(reference_is_distribution(row, tol) for row in block)
+                assert is_distribution(np.array(block), tol=tol) == want
+        assert not is_distribution(np.empty((0, 2)), tol=tol)
 
 
 class TestL2Distance:

@@ -1,12 +1,30 @@
 import numpy as np
 
-from dknn.rng import Rng, mix64
-from oracles import loop_permutation
+from dknn.rng import Rng
+from oracles import loop_permutation, mix64, reference_stream
+
+
+def _draws(rng: Rng, plan) -> list[int]:
+    """Draws of ``rng`` along ``plan``: (True, n) is n scalar draws and
+    (False, n) one bulk call of n."""
+    out: list[int] = []
+    for scalar, n in plan:
+        out += [rng.next_u64() for _ in range(n)] if scalar else rng._bulk(n).tolist()
+    return out
 
 
 def test_scalar_and_bulk_paths_agree():
-    a, b = Rng(123), Rng(123)
-    assert [a.next_u64() for _ in range(257)] == b._bulk(257).tolist()
+    # scalar, bulk and interleaved draws each equal the oracle's stream; the
+    # interleaving leaves read-ahead unread before each bulk call, makes an
+    # empty bulk call and crosses refills
+    plan = [(True, 255), (False, 3), (True, 300), (False, 0), (True, 1),
+            (False, 256), (True, 257), (False, 1), (True, 28)]
+    n = sum(size for _, size in plan)
+    for seed in (0, 123, 2**64 - 1):
+        want = reference_stream(seed, n)
+        assert _draws(Rng(seed), [(True, n)]) == want
+        assert _draws(Rng(seed), [(False, n)]) == want
+        assert _draws(Rng(seed), plan) == want
 
 
 def test_deterministic_across_instances():
@@ -64,3 +82,12 @@ def test_different_seeds_differ():
 def test_mix64_is_pure():
     assert mix64(0x123456789ABCDEF0) == mix64(0x123456789ABCDEF0)
     assert mix64(1) != mix64(2)
+
+
+def test_oracle_is_published_splitmix64():
+    # the splitmix64 sequences for seeds 0 and 1234567 as commonly published
+    # (e.g. Rosetta Code's SplitMix64 task)
+    assert reference_stream(0, 3) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert reference_stream(1234567, 3) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]

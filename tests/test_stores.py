@@ -162,6 +162,13 @@ class TestQuery:
         with pytest.raises(ValidationError):
             query(store, np.array([2.0, 3.0, 4.0]), 2)
 
+    def test_kl_block_is_checked_before_any_row_is_searched(self):
+        store = random_store(Rng(5), 5, 3, 2, StoreMetric.KL)
+        block = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [2.0, 3.0, 4.0]])
+        with mock.patch.object(stores, "_rank", side_effect=AssertionError("searched")):
+            with pytest.raises(ValidationError, match="distribution query"):
+                query(store, block, 2)
+
     def test_store_label_out_of_range_rejected(self):
         """RepresentationStore is the one check of label range: every label
         that neighbor_distribution sees comes from a store."""
