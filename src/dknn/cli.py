@@ -356,7 +356,7 @@ def _breakdown_json(text: str, breakdown, label_names: list[str], explain: bool)
     for key in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
         p = getattr(breakdown, key)  # None for a disabled kNN module
         if p is not None:
-            doc[key] = [float(v) for v in p]
+            doc[key] = p.tolist()
     if explain:
         doc["neighbors"] = {
             name: [[nb.index, nb.distance, nb.label] for nb in nbs]

@@ -385,9 +385,16 @@ def checkpoint_bytes(params: ModelParams) -> bytes:
 
 
 def model_fingerprint(params: ModelParams) -> int:
-    """64-bit fingerprint of the serialized checkpoint (blake2b-8 digest)."""
-    digest = hashlib.blake2b(checkpoint_bytes(params), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    """64-bit fingerprint of the serialized checkpoint."""
+    return checkpoint_fingerprint(checkpoint_bytes(params))
+
+
+def checkpoint_fingerprint(blob: bytes) -> int:
+    """64-bit fingerprint of checkpoint bytes (blake2b-8 digest). The bytes
+    of a valid checkpoint equal ``checkpoint_bytes`` of the params they load
+    to, since float32 -> float64 -> float32 is exact (signed zeros and
+    subnormals too), so this is ``model_fingerprint`` of those params."""
+    return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -3,12 +3,14 @@
 Two stores are built from the training set by one forward pass: text
 embeddings under L2 distance and predicted distributions under KL
 divergence (stored key first, query second). Inference retrieves the exact
-top-k neighbors from each store, for a block of queries at a time. An L2
-store takes candidates from one float32 matrix product of the block with
-all keys and reranks them exactly with the distance kernel of
-``RepresentationStore.distances``; a KL store ranks that kernel's full
-distance vector, one matrix-vector product per query. A block's search
-gives each store's (B, k) neighbor indices and distances; the rest of
+top-k neighbors from each store, for a block of queries at a time, and
+both metrics search alike: each store holds one (dim + 1, N) float32 scan
+matrix, one float32 matrix product of the block with it estimates every
+key's distance, a floating-point error bound per metric widens each row's
+k-th smallest estimate into a candidate set, and the candidates are
+reranked exactly with the fixed-order float64 kernel of
+``RepresentationStore.distances``, which calls no BLAS routine. A block's
+search gives each store's (B, k) neighbor indices and distances; the rest of
 inference is row operations on that block: label distributions via softmax
 over negative distances, sharpened, averaged over the two stores, and
 interpolated with the model's own prediction. ``Neighbor`` lists are built
@@ -40,9 +42,10 @@ from .mathcore import KL_EPS, is_distribution, sharpen
 from .model import (
     FORWARD_BLOCK,
     ModelParams,
+    checkpoint_fingerprint,
     forward_batch,
-    load_checkpoint,
     model_fingerprint,
+    params_from_bytes,
 )
 
 STORE_MAGIC = b"DKNS"
@@ -112,18 +115,58 @@ def _neighbor_list(found: tuple | None) -> list[Neighbor] | None:
 
 def _l2_rows(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of keys to the float64 query q: the
-    L2 oracle kernel. Float32 keys are widened exactly by the subtraction.
-    Each row reduces on its own, so a subset of rows gets the same bits."""
-    diff = keys - q
+    L2 oracle kernel. Float32 keys are widened exactly by the subtraction,
+    into a C-ordered difference whatever the layout of keys, so each row
+    reduces on its own, in one order: a subset of rows gets the same bits."""
+    diff = np.subtract(keys, q, order="C")
     return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _kl_rows(terms: np.ndarray, qx: np.ndarray) -> np.ndarray:
+    """KL(key || q) for each row [k~ | sum k~ ln k~] of terms and the query's
+    row qx = [-ln q~ | 1]: the KL oracle kernel. A row sum in a fixed order,
+    with no BLAS call, so each row's bits depend neither on the other rows
+    nor on the BLAS kernel."""
+    return (terms * qx).sum(axis=1)
+
+
+def _kl_query_rows(rows: np.ndarray) -> np.ndarray:
+    """[-ln q~ | 1] for each distribution row q of a (B, c) block, with
+    q~ = (q + KL_EPS) / s and s = sum(q + KL_EPS): -ln q~_j is taken as
+    ln(s / (q_j + KL_EPS))."""
+    qe = rows + KL_EPS
+    qx = np.ones((len(qe), qe.shape[1] + 1))
+    np.log(np.add.reduce(qe, axis=1, keepdims=True) / qe, out=qx[:, :-1])
+    return qx
+
+
+def _kl_terms(keys: np.ndarray) -> np.ndarray:
+    """[k~ | sum k~ ln k~] in float64 for each float32 distribution row k,
+    with k~ = (k + KL_EPS) / sum(k + KL_EPS)."""
+    k = keys.astype(np.float64)
+    k += KL_EPS
+    k /= k.sum(axis=1, keepdims=True)
+    terms = np.empty((k.shape[0], k.shape[1] + 1))
+    terms[:, :-1] = k
+    terms[:, -1] = (k * np.log(k)).sum(axis=1)
+    return terms
 
 
 # Above this, 2 max ||k||^2 + ||q||^2 may not fit the float32 scan's range,
 # so an L2 query ranks every key instead.
 _F32_SAFE = 2.0**120
 
-# Most bytes that one block of L2 queries holds in its (rows, N) float32
-# scan and the copy that np.partition makes of it, together.
+# No |ln(s / (q_j + KL_EPS))| of a distribution query reaches this (see _kl_bound).
+_KL_LOG_MAX = math.log(2.0 / KL_EPS)
+
+# Keys per step of the L2 scan build: a tile of _TILE_ROWS keys is
+# transposed while it sits in cache, and the squared norms of _NORM_ROWS
+# keys are summed from one float64 copy.
+_TILE_ROWS = 128
+_NORM_ROWS = 1024
+
+# Most bytes that one block of queries holds in its (rows, N) float32 scan
+# and the copy that np.partition makes of it, together.
 SEARCH_BLOCK_BYTES = 2 << 20
 
 
@@ -137,10 +180,16 @@ def search_block_rows(n: int) -> int:
 class RepresentationStore:
     """Immutable key/label memory extracted from the training set.
 
-    Keys are held once, as float32, the precision of the store file. An L2
-    store holds them as the first ``dim`` columns of one (N, dim + 1)
-    float32 matrix whose last column is each key's squared norm, taken in
-    float64 and rounded to float32; ``keys`` is a view of it."""
+    Keys are held as float32, the precision of the store file. Either metric
+    also holds one float32 scan matrix in column layout, (dim + 1, N), that
+    ``query`` multiplies each block of queries by:
+
+    - L2: the keys, transposed, then each key's squared norm, taken in
+      float64 and rounded to float32. ``keys`` is a view of it, so the keys
+      are held once.
+    - KL: the smoothed keys k~ = (k + KL_EPS) / sum(k + KL_EPS), then each
+      key's sum k~ ln k~. The float64 rows [k~ | sum k~ ln k~] are kept for
+      the exact rerank and ``distances``."""
 
     def __init__(
         self,
@@ -150,37 +199,37 @@ class RepresentationStore:
         n_classes: int,
         fingerprint: int,
     ) -> None:
-        keys = np.array(keys, dtype=np.float32, order="C")
-        labels = np.ascontiguousarray(labels, dtype=np.uint32)
+        keys = np.asarray(keys)
+        labels = np.array(labels, dtype=np.uint32)  # a copy: never a view of a file's bytes
         metric = StoreMetric(metric)
         if keys.ndim != 2 or keys.shape[0] != labels.shape[0]:
             raise ValidationError("keys must be (N, dim) with one label per row")
-        if not np.isfinite(keys).all():
+        self._sq_max = self._kl_mag = 0.0
+        self._kl_terms: np.ndarray | None = None
+        if metric == StoreMetric.L2:
+            self._scan, self._sq_max = _build_l2_scan(keys)
+            keys = self._scan[:-1].T
+            finite = math.isfinite(self._sq_max)
+        else:
+            keys = np.array(keys, dtype=np.float32, order="C")
+            finite = bool(np.isfinite(keys).all())
+        if not finite:
             raise ValidationError("store keys must be finite")
         if labels.size and int(labels.max()) >= n_classes:
             raise ValidationError(
                 f"label {int(labels.max())} out of range for {n_classes} classes"
             )
-        if metric == StoreMetric.KL and keys.shape[0] and not is_distribution(keys, tol=1e-6):
-            raise ValidationError("KL store keys must be probability rows")
-        self._l2_scan: np.ndarray | None = None
-        self._sq_max = 0.0
-        if metric == StoreMetric.L2:
-            wide = keys.astype(np.float64)
-            sq = np.einsum("ij,ij->i", wide, wide)
-            self._sq_max = float(sq.max(initial=0.0))
-            scan = np.empty((keys.shape[0], keys.shape[1] + 1), dtype=np.float32)
-            scan[:, :-1] = keys
-            # clipped norms belong to stores whose queries skip the scan
-            scan[:, -1] = np.minimum(sq, _F32_SAFE)
-            self._l2_scan = scan
-            keys = scan[:, :-1]
+        if metric == StoreMetric.KL:
+            if keys.shape[0] and not is_distribution(keys, tol=1e-6):
+                raise ValidationError("KL store keys must be probability rows")
+            self._kl_terms = _kl_terms(keys)
+            self._kl_mag = _KL_LOG_MAX + float(np.abs(self._kl_terms[:, -1]).max(initial=0.0))
+            self._scan = np.array(self._kl_terms.T, dtype=np.float32, order="C")
         self.keys = keys
         self.labels = labels
         self.metric = metric
         self.n_classes = int(n_classes)
         self.fingerprint = int(fingerprint) & ((1 << 64) - 1)
-        self._kl_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -192,7 +241,8 @@ class RepresentationStore:
 
     def distances(self, query: np.ndarray) -> np.ndarray:
         """f64 distance from every stored key to the query: Euclidean for an
-        L2 store, key-first KL(key || query) for a KL store."""
+        L2 store, key-first KL(key || query) for a KL store. ``query``
+        reranks its candidates with the same kernels, bit for bit."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValidationError(
@@ -201,20 +251,27 @@ class RepresentationStore:
         if self.metric == StoreMetric.L2:
             return _l2_rows(self.keys, q)
         _check_kl_query(q)
-        return self._kl_distances(q)
+        return _kl_rows(self._kl_terms, _kl_query_rows(q[None])[0])
 
-    def _kl_distances(self, q: np.ndarray) -> np.ndarray:
-        """KL(key || q) for every key, for a distribution q of the store's dim."""
-        if self._kl_cache is None:
-            # smoothed/renormalized keys, widened to float64, and sum(k~ ln k~)
-            k = self.keys.astype(np.float64)
-            k += KL_EPS
-            k /= k.sum(axis=1, keepdims=True)
-            self._kl_cache = (k, (k * np.log(k)).sum(axis=1))
-        keys_n, self_term = self._kl_cache
-        qn = q + KL_EPS
-        qn = qn / qn.sum()
-        return self_term - keys_n @ np.log(qn)
+
+def _build_l2_scan(keys: np.ndarray) -> tuple[np.ndarray, float]:
+    """The L2 scan matrix of (N, dim) keys, and max ||k||^2 (not finite if a
+    key is not). Built straight from keys, a few keys at a time, with no
+    full copy: fl32(k) transposed, then ||fl32(k)||^2 summed in float64,
+    clipped to _F32_SAFE (such stores' queries skip the scan) and rounded
+    to float32."""
+    n, dim = keys.shape
+    scan = np.empty((dim + 1, n), dtype=np.float32)
+    for lo in range(0, n, _TILE_ROWS):
+        scan[:-1, lo:lo + _TILE_ROWS] = keys[lo:lo + _TILE_ROWS].T
+    sq_max = 0.0
+    for lo in range(0, n, _NORM_ROWS):
+        wide = scan[:-1, lo:lo + _NORM_ROWS].astype(np.float64)
+        wide *= wide
+        sq = wide.sum(axis=0)
+        sq_max = float(sq.max(initial=sq_max))  # NaN stays NaN
+        scan[-1, lo:lo + _NORM_ROWS] = np.minimum(sq, _F32_SAFE)
+    return scan, sq_max
 
 
 def _check_kl_query(q: np.ndarray) -> None:
@@ -248,11 +305,10 @@ def query(store: RepresentationStore, q: np.ndarray,
     (dim,) query, answered with its 1-row block as a ``list[Neighbor]``. The
     distances equal ``store.distances`` of their row, bit for bit; ties on
     distance resolve to the lower store index, and a row's answer does not
-    depend on the rest of its block. A KL store ranks each row's full
-    distance vector, one GEMV per row. An L2 store splits the block into
-    blocks of ``search_block_rows(N)`` rows, takes candidates for each from
-    one float32 GEMM, widened per row by a floating-point error bound, and
-    reranks them with the L2 kernel.
+    depend on the rest of its block. Both metrics search alike: the block is
+    split into blocks of ``search_block_rows(N)`` rows, and ``_search_block``
+    takes each one's candidates from one float32 product with the store's
+    scan matrix and reranks them with the exact kernel of ``distances``.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -266,25 +322,75 @@ def query(store: RepresentationStore, q: np.ndarray,
         raise ValidationError(
             f"query dim {np.shape(q)} does not match store dim {store.dim}"
         )
+    if store.metric == StoreMetric.KL and len(rows):
+        _check_kl_query(rows)
     limit = min(k, store.n)
     idx = np.empty((len(rows), limit), dtype=np.int64)
     dist = np.empty((len(rows), limit))
-    if store.metric == StoreMetric.KL:
-        if len(rows):
-            _check_kl_query(rows)
-        for i, row in enumerate(rows):
-            row_dist = store._kl_distances(row)
-            cand = _at_most(row_dist, _kth_smallest(row_dist, limit))
-            _rank(cand, row_dist[cand], idx[i], dist[i])
-    else:
-        step = search_block_rows(store.n)
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            for i, (row, cand) in enumerate(zip(block, _l2_candidates(store, block, limit)), lo):
-                _rank(cand, _l2_rows(store.keys[cand], row), idx[i], dist[i])
+    step = search_block_rows(store.n) if len(rows) > 1 else 1
+    for lo in range(0, len(rows), step):
+        _search_block(store, rows[lo:lo + step], idx[lo:lo + step], dist[lo:lo + step])
     if single:
         return _neighbor_list((idx[0], dist[0], store.labels[idx[0]]))
     return idx, dist
+
+
+def _search_block(store: RepresentationStore, rows: np.ndarray, idx: np.ndarray,
+                  dist: np.ndarray) -> None:
+    """Each float64 query row's exact top k, k = idx.shape[1], written into
+    its row of idx and dist.
+
+    One float32 product of the block's scan rows with the store's (dim + 1,
+    N) scan matrix, a GEMV for one row, gives every key's scan value t, and
+    one ``np.partition`` each row's k-th smallest t. A row's candidates are
+    the keys with t within the metric's error bound of it (``_l2_bound``,
+    ``_kl_bound``), and ``_rank`` orders them by the exact float64 kernel of
+    ``distances``."""
+    n, k = store.n, idx.shape[1]
+    kl = store.metric == StoreMetric.KL
+    if kl:
+        rows = _kl_query_rows(rows)  # the rows the KL kernel takes
+        qa = rows.astype(np.float32)
+    else:
+        qa, norms = _l2_scan_rows(store, rows)
+    t = qa @ store._scan
+    if k < n:
+        part = t.copy()
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1].tolist()
+    else:
+        kth = [math.inf] * len(t)
+    for i, kth_i in enumerate(kth):
+        if kl:
+            cand = _at_most(t[i], _kl_bound(kth_i, store._kl_mag, store.dim))
+            cand_dist = _kl_rows(store._kl_terms[cand], rows[i])
+        else:
+            cand = _at_most(t[i], _l2_bound(kth_i, *norms[i], store.dim))
+            cand_dist = _l2_rows(store.keys[cand], rows[i])
+        _rank(cand, cand_dist, idx[i], dist[i])
+
+
+def _l2_scan_rows(store: RepresentationStore,
+                  rows: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The float32 scan rows [fl32(-2q) | 1] of an L2 block, and each row's
+    (||q||^2, M) with M = 2 max ||k||^2 + ||q||^2. A row whose M is not
+    below _F32_SAFE scans as zeros, uncast, since float32 would overflow,
+    and gets M = inf, which makes every key its candidate."""
+    norms, far = [], []
+    for i, row in enumerate(rows):
+        qq = float(row @ row)
+        m = 2.0 * store._sq_max + qq
+        if not m < _F32_SAFE:
+            far.append(i)
+            m = math.inf
+        norms.append((qq, m))
+    qa = np.empty((len(rows), store.dim + 1), dtype=np.float32)
+    qa[:, -1] = 1.0
+    if far:
+        rows = rows.copy()
+        rows[far] = qa[far, -1] = 0.0
+    qa[:, :-1] = -2.0 * rows
+    return qa, norms
 
 
 def _rank(cand: np.ndarray, cand_dist: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
@@ -295,50 +401,13 @@ def _rank(cand: np.ndarray, cand_dist: np.ndarray, idx: np.ndarray, dist: np.nda
     dist[:] = cand_dist[order]
 
 
-def _kth_smallest(values: np.ndarray, k: int) -> float:
-    """The k-th smallest value; +inf when k covers every value."""
-    if k >= values.size:
-        return np.inf
-    return float(np.partition(values, k - 1)[k - 1])
-
-
 def _at_most(values: np.ndarray, bound: float) -> np.ndarray:
     """Indices of the values <= bound, ascending; every index when the bound
-    is not finite (k covers the store), so the rerank then orders the whole
-    store as the full-sort oracle does."""
+    is not finite (k covers the store, or an L2 row scans as zeros), so the
+    rerank then orders the whole store as the full-sort oracle does."""
     if not math.isfinite(bound):
         return np.arange(values.size)
-    return np.flatnonzero(values <= bound)
-
-
-def _l2_candidates(store: RepresentationStore, rows: np.ndarray, k: int) -> list[np.ndarray]:
-    """For each float64 query row of a block, the indices, ascending, of a
-    superset of its exact top k in an L2 store.
-
-    One float32 GEMM of the rows ``[fl32(-2q) | 1]`` against the scan matrix
-    ``[k | ||k||^2]`` gives t ~ ||k||^2 - 2 k.q for every key and row, and
-    one ``np.partition`` each row's k-th smallest t; a row's candidates are
-    the keys with t within ``_l2_bound`` of it. A row too large for float32
-    (or not finite) scans as zeros, uncast, and makes every key a candidate."""
-    n = store.n
-    qq = [float(q @ q) for q in rows]
-    norms = [2.0 * store._sq_max + x for x in qq]
-    safe = [m < _F32_SAFE for m in norms]
-    qa = np.empty((len(rows), store.dim + 1), dtype=np.float32)
-    qa[:, -1] = 1.0
-    if not all(safe):  # such rows scan as zeros, uncast: float32 would overflow
-        mask = np.array(safe)
-        rows = np.where(mask[:, None], rows, 0.0)
-        qa[:, -1] = mask
-    qa[:, :-1] = -2.0 * rows
-    # one row: an sgemv, which cost a served text 3% less than a 1-row sgemm
-    # (OpenBLAS 0.3, one thread); _l2_bound holds for either kernel
-    t = (store._l2_scan @ qa[0])[None] if len(qa) == 1 else qa @ store._l2_scan.T
-    kth = np.partition(t, k - 1, axis=1)[:, k - 1].tolist() if k < n else [np.inf] * len(rows)
-    return [
-        _at_most(t_i, _l2_bound(kth_i, qq_i, norms_i, store.dim)) if ok else np.arange(n)
-        for t_i, kth_i, qq_i, norms_i, ok in zip(t, kth, qq, norms, safe)
-    ]
+    return (values <= bound).nonzero()[0]
 
 
 _U32 = 2.0**-24  # unit roundoff of float32
@@ -358,7 +427,8 @@ def _l2_bound(kth: float, qq: float, norms: float, dim: int) -> float:
     For a key k (float32 entries) and the float64 query q, D = ||k - q||^2
     and D' = D - ||q||^2 = ||k||^2 - 2 k.q, both exact; ``qq`` = ||q||^2 and
     ``norms`` = M = 2 max ||k||^2 + ||q||^2, which the caller has checked is
-    below 2^120, so nothing in the scan overflows float32. The scan computes
+    below 2^120, so nothing in the scan overflows float32 (for a larger M it
+    passes inf, and the bound is not finite). The scan computes
     t = fl32(x.y) with x = [k, s], s = fl32(fl64(||k||^2)) and y = [a, 1],
     a_j = fl32(-2 q_j). Let A = 2 sum|k_j q_j| + ||k||^2 <= 2 ||k|| ||q|| +
     ||k||^2 <= M.
@@ -392,6 +462,47 @@ def _l2_bound(kth: float, qq: float, norms: float, dim: int) -> float:
     """
     err = _gamma(dim + 5, _U32) * norms + (dim + 2) * 2.0**-147
     return _f32_ceiling(kth + 2.0 * err + _gamma(2 * dim + 16) * (kth + err + qq))
+
+
+def _kl_bound(kth: float, mag: float, dim: int) -> float:
+    """Largest float32 scan value t that a true top-k key of a KL store can
+    have.
+
+    Notation as in ``_l2_bound``; c = dim. A key's stored float64 row is
+    [k~ | s], k~ its smoothed distribution and s = sum k~ ln k~; the query's
+    float64 row is [y | 1], y_j = fl64(ln(sigma / (q_j + eps))). Both are
+    taken as exact, so the distance is D = sum k~_j y_j + s, exactly. Let
+    S = max |s| over the store and Lam = ln(2 / eps); ``mag`` = M = Lam + S.
+
+    - Magnitudes: q is a distribution within 1e-6 and c eps < 0.005, so the
+      float64 sigma = sum(q + eps) < 1.01. Every q_j + eps is at least eps
+      and at most sigma (1 + G_c), so |y_j| < ln(1.02 / eps) < Lam, with
+      0.6 to spare for the error of ln. The stored k~_j sum to at most
+      1 + G_(c+1). So sum |k~_j y_j| + |s| <= M' = (1 + G_(c+1)) Lam + S.
+    - Oracle: o = fl64(sum fl64(k~_j y_j) + s), in any order, errs by at
+      most G_(c+1) M' from D.
+    - Inputs of the scan: x = [fl32(k~) | fl32(s)] and a = [fl32(y) | 1].
+      Each rounding errs by at most u of its value; only fl32(s) can also
+      underflow, by at most eta, since every k~_j > eps / 2 and every
+      nonzero |y_j| > 2^-54. So |x.a - D| <= (2u + u^2) M' + eta and
+      sum |x_j a_j| <= (1 + u)^2 M' + eta.
+    - Scan: a float32 dot product of c + 1 terms, in any order, with or
+      without FMA, errs by at most g_(c+1) sum |x_j a_j| + (c + 1) eta
+      (1 + g_(c+1)). So |t - D| <= E = g_(c+3) M' + (c + 2) 2^-147, and
+      E + G_(c+1) M' <= g_(c+4) M + (c + 2) 2^-147 = F: the G terms lie far
+      below the spare u M.
+
+    Let T = ``kth``, the k-th smallest t. Those k keys have D <= T + E, so o
+    <= T + F, and the k-th smallest oracle distance r is at most T + F. A
+    key in the answer has o <= r, so D <= T + F + G_(c+1) M', and its t <=
+    T + 2F.
+
+    The bound below takes g_(c+5) in place of g_(c+4): the spare term absorbs
+    the float64 roundings of M and of the bound's own arithmetic, each a few
+    v of a magnitude below 3M. The candidates are compared with it in
+    float32, so it is returned through ``_f32_ceiling``.
+    """
+    return _f32_ceiling(kth + 2.0 * (_gamma(dim + 5, _U32) * mag + (dim + 2) * 2.0**-147))
 
 
 def _f32_ceiling(b: float) -> float:
@@ -505,8 +616,8 @@ def _predict_blocks(
         # with one module on, the mean of its distribution with itself is
         # that distribution, bit for bit
         p_knn = combine_knn(sharp[0], sharp[-1]) if sharp else None
-        p_final = p_model.copy() if p_knn is None else interpolate(p_knn, p_model, cfg.lam)
-        for row in zip(p_model, *map(_rows, (p_text, p_pro, p_knn)), p_final,
+        p_final = p_model if p_knn is None else interpolate(p_knn, p_model, cfg.lam)
+        for row in zip(*map(_rows, (p_model, p_text, p_pro, p_knn, p_final)),
                        np.argmax(p_final, axis=1).tolist(), text_found, pro_found):
             yield PredictionBreakdown(*row)
 
@@ -520,8 +631,10 @@ def _knn_block(store: RepresentationStore, q: np.ndarray, k: int) -> tuple[np.nd
 
 
 def _rows(block: np.ndarray | None):
-    """The rows of a block; None for every row of a disabled module's."""
-    return repeat(None) if block is None else block
+    """Each row of a block as an array of its own, so that a caller who keeps
+    one distribution keeps nothing else of its block; None for every row of
+    a disabled module's."""
+    return repeat(None) if block is None else map(np.ndarray.copy, block)
 
 
 def _require_store(
@@ -604,9 +717,11 @@ def load_bundle(checkpoint, featurizer_file=None, text_store=None, pro_store=Non
     each by default from the checkpoint's directory. Raises ValidationError
     for a missing file, CorruptArtifactError for a malformed one and
     ArtifactMismatchError for files that do not belong together; whether the
-    stores were built by this checkpoint is checked by ``iter_predictions``."""
+    stores were built by this checkpoint is checked by ``iter_predictions``.
+    The fingerprint is taken from the checkpoint bytes as read."""
     directory = Path(checkpoint).parent
-    params = load_checkpoint(checkpoint)
+    weights = read_artifact(checkpoint, "checkpoint")
+    params = params_from_bytes(weights, source=str(checkpoint))
     sidecar = featurizer_file or directory / "featurizer.json"
     blob = read_artifact(sidecar, "featurizer file")  # missing: not corrupt
     try:
@@ -627,7 +742,7 @@ def load_bundle(checkpoint, featurizer_file=None, text_store=None, pro_store=Non
     use_text = cfg is not None and cfg.use_text_knn
     use_pro = cfg is not None and cfg.use_pro_knn
     return Bundle(
-        params, featurizer, names, model_fingerprint(params) if use_text or use_pro else None,
+        params, featurizer, names, checkpoint_fingerprint(weights) if use_text or use_pro else None,
         load_store(text_store or directory / "store_text.dkns") if use_text else None,
         load_store(pro_store or directory / "store_pro.dkns") if use_pro else None,
     )

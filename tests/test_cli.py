@@ -18,7 +18,7 @@ from dknn import cli
 from dknn.cli import main
 from dknn.features import Featurizer, fnv1a64
 from dknn.model import load_checkpoint
-from dknn.stores import InferenceConfig, load_store, predict
+from dknn.stores import InferenceConfig, iter_predictions, load_bundle, load_store, predict
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,40 @@ class TestPredict:
                 for name, nbs in (("text", b.text_neighbors), ("pro", b.pro_neighbors))
             }
             assert json.dumps(full) == line
+
+    @pytest.mark.parametrize("flags", [[], ["--explain"], ["--no-pro-knn", "--explain"],
+                                       ["--no-text-knn", "--no-pro-knn"]])
+    def test_file_lines_keep_the_bytes_of_per_value_floats(self, workspace, tmp_path, capsys,
+                                                           flags):
+        """Distributions are printed through ndarray.tolist(); every line
+        equals, byte for byte, the line built with one float(v) per value."""
+        root, data, out = workspace
+        texts = [json.loads(line)["text"] for line in data.read_text().splitlines()[:60]]
+        texts += ["--- !!!", "unseen words only"]
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("\n".join(texts) + "\n")
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.dknm"),
+                     "--file", str(inputs), "--k", "4"] + flags) == 0
+        got = capsys.readouterr().out
+
+        cfg = InferenceConfig(k=4, use_text_knn="--no-text-knn" not in flags,
+                              use_pro_knn="--no-pro-knn" not in flags)
+        bundle = load_bundle(out / "checkpoint.dknm", cfg=cfg)
+        want = []
+        for text, b in zip(texts, iter_predictions(texts, bundle.params, bundle.featurizer,
+                                                   bundle.text_store, bundle.pro_store, cfg)):
+            doc = {"text": text, "label": b.label, "label_name": bundle.label_names[b.label]}
+            for key in ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final"):
+                if getattr(b, key) is not None:
+                    doc[key] = [float(v) for v in getattr(b, key)]
+            if "--explain" in flags:
+                doc["neighbors"] = {
+                    name: [[nb.index, nb.distance, nb.label] for nb in nbs]
+                    for name, nbs in (("text", b.text_neighbors), ("pro", b.pro_neighbors))
+                    if nbs is not None
+                }
+            want.append(json.dumps(doc) + "\n")
+        assert got == "".join(want)
 
     def test_file_output_equals_concatenated_text_outputs(self, workspace, tmp_path, capsys):
         root, data, out = workspace

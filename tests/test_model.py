@@ -16,6 +16,7 @@ from dknn.model import (
     _live_block,
     batch_loss_and_gradients,
     checkpoint_bytes,
+    checkpoint_fingerprint,
     classify,
     column_map,
     encode,
@@ -457,6 +458,23 @@ class TestCheckpoint:
         blob = checkpoint_bytes(random_params(Rng(17), 2, 2, 2))
         with pytest.raises(CorruptArtifactError):
             params_from_bytes(blob[:-3])
+
+    def test_checkpoint_bytes_round_trip_signed_zeros_and_subnormals(self):
+        """checkpoint_bytes(params_from_bytes(blob)) == blob, so the digest
+        of the bytes read is the fingerprint of the params they load to."""
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        specials = np.array([0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, 3 * tiny,
+                             float(np.finfo(np.float32).tiny), 3.4e38, -1.5])
+        for seed in range(4):
+            params = random_params(Rng(40 + seed), 6, 3, 5)
+            for arr in params.tensors().values():
+                flat = arr.reshape(-1)
+                flat[:len(specials)] = specials[:len(flat)]
+            blob = checkpoint_bytes(params)
+            loaded = params_from_bytes(blob)
+            assert np.signbit(loaded.w1.reshape(-1)[1]) and loaded.w1.reshape(-1)[2] == tiny
+            assert checkpoint_bytes(loaded) == blob
+            assert checkpoint_fingerprint(blob) == model_fingerprint(loaded)
 
     def test_fingerprint_tracks_content(self):
         params = random_params(Rng(18), 2, 2, 2)

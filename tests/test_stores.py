@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,8 @@ from dknn.exceptions import (
 from dknn import stores
 from dknn.features import FeaturizerConfig, fit_featurizer
 from dknn.harness import Dataset
-from dknn.model import FORWARD_BLOCK, ModelParams, classify, encode, model_fingerprint
+from dknn.model import (FORWARD_BLOCK, ModelParams, classify, encode, model_fingerprint,
+                        save_checkpoint)
 from dknn.rng import Rng
 from oracles import heap_query, kl_divergence, loop_neighbor_distribution, row_breakdown
 from dknn.stores import (
@@ -29,15 +34,18 @@ from dknn.stores import (
     combine_knn,
     interpolate,
     iter_predictions,
+    load_bundle,
     load_store,
     neighbor_distribution,
     predict,
     query,
+    save_sidecar,
     save_store,
     search_block_rows,
     store_bytes,
 )
-from dknn.stores import _f32_ceiling, _l2_candidates, _predict_blocks
+from dknn.mathcore import KL_EPS
+from dknn.stores import _f32_ceiling, _kl_query_rows, _kl_rows, _predict_blocks
 
 
 def random_store(rng: Rng, n: int, dim: int, c: int, metric: StoreMetric,
@@ -206,6 +214,20 @@ class TestQuery:
             assert dist[i] == pytest.approx(expected, abs=1e-12)
 
 
+def candidate_sizes(store, queries, k):
+    """How many candidates the search of each query row reranks."""
+    sizes = []
+    rank = stores._rank
+
+    def counted(cand, *rest):
+        sizes.append(cand.size)
+        rank(cand, *rest)
+
+    with mock.patch.object(stores, "_rank", counted):
+        query(store, queries, k)
+    return sizes
+
+
 def _bits(neighbors):
     """Index, distance bits and label of every neighbor, in order."""
     return [(nb.index, nb.distance.hex(), nb.label) for nb in neighbors]
@@ -306,6 +328,48 @@ def block_cases(draw):
     return RepresentationStore(keys, labels, metric, 4, 0), qs, k
 
 
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def kl_block_cases(draw):
+    """A KL store built to strain the float32 scan: peaked rows whose small
+    entries sit at KL_EPS scale or are exact zeros, one-hot rows, and
+    near-duplicate rows a float32 ulp apart; c from 2 to 12. A block of 1 to
+    40 queries: stored rows, one-hot rows, near-duplicates of stored rows and
+    fresh distributions. k runs from 1 to past N."""
+    c = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 60))
+    b = draw(st.integers(1, 40))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([0.5, 3.0, 30.0]))
+    keys = softmax_rows(scale * rng.normals(n * c).reshape(n, c))
+    tiny = rng.uniforms(n * c).reshape(n, c) < 0.2
+    tiny[np.arange(n), keys.argmax(axis=1)] = False
+    keys[tiny] = np.floor(rng.uniforms(int(tiny.sum())) * 4) * KL_EPS  # 0 to 3 eps
+    hot = rng.uniforms(n) < 0.15
+    keys[hot] = np.eye(c)[np.floor(rng.uniforms(int(hot.sum())) * c).astype(int)]
+    keys = (keys / keys.sum(axis=1, keepdims=True)).astype(np.float32)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=6)):
+        j = int(np.argmax(keys[src]))
+        keys[dst] = keys[src]
+        keys[dst, j] = np.nextafter(keys[src, j], np.float32(draw(st.sampled_from([0, 2]))))
+    qs = softmax_rows(scale * rng.normals(b * c).reshape(b, c))
+    pick = np.floor(rng.uniforms(b) * n).astype(int)
+    kind = np.floor(rng.uniforms(b) * 4).astype(int)
+    stored = keys[pick].astype(np.float64)
+    qs[kind == 1] = stored[kind == 1]
+    qs[kind == 2] = np.eye(c)[np.floor(rng.uniforms(b) * c).astype(int)][kind == 2]
+    near = stored * (1.0 + 1e-7 * rng.normals(b * c).reshape(b, c))
+    qs[kind == 3] = (near / near.sum(axis=1, keepdims=True))[kind == 3]
+    labels = np.floor(rng.uniforms(n) * 3).astype(np.uint32)
+    k = draw(st.one_of(st.integers(1, n), st.integers(n, n + 3)))
+    return RepresentationStore(keys, labels, StoreMetric.KL, 3, 0), qs, k
+
+
 class TestSearchMatchesHeapScan:
     @given(search_cases())
     @settings(max_examples=400, deadline=None)
@@ -382,8 +446,20 @@ class TestSearchMatchesHeapScan:
                                     np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
         queries = np.tanh(rng.normals(30 * dim).reshape(30, dim))
         queries = np.vstack([queries, store.keys[:10].astype(np.float64)])
-        for idx in _l2_candidates(store, queries, k):
-            assert idx.size < 2 * k
+        sizes = candidate_sizes(store, queries, k)
+        assert len(sizes) == 40 and max(sizes) < 2 * k
+
+    def test_model_like_kl_store_reranks_fewer_than_2k_keys(self):
+        """The KL twin: peaked distributions over 10 classes, as a model's
+        predictions are, and a bound of constant magnitude."""
+        rng = Rng(35)
+        n, c, k = 2000, 10, 16
+        store = RepresentationStore(softmax_rows(6.0 * rng.normals(n * c).reshape(n, c)),
+                                    np.zeros(n, np.uint32), StoreMetric.KL, 1, 0)
+        queries = softmax_rows(6.0 * rng.normals(30 * c).reshape(30, c))
+        queries = np.vstack([queries, store.keys[:10].astype(np.float64)])
+        sizes = candidate_sizes(store, queries, k)
+        assert len(sizes) == 40 and max(sizes) < 2 * k
 
     @given(block_cases())
     @settings(max_examples=60, deadline=None)
@@ -393,6 +469,27 @@ class TestSearchMatchesHeapScan:
             warnings.simplefilter("error")
             got = query(store, qs, k)
         assert _block_bits(store, got) == [_bits(heap_query(store, q, k)) for q in qs]
+
+    @given(kl_block_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_adversarial_kl_block_equals_heap_scan_per_row(self, case):
+        store, qs, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = query(store, qs, k)
+        assert _block_bits(store, got) == [_bits(heap_query(store, q, k)) for q in qs]
+
+    @given(kl_block_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kl_distances_of_any_subset_keep_their_bits(self, case, data):
+        """The KL kernel reduces each row on its own: a candidate subset, in
+        any order and with repeats, gets the bits of the full vector."""
+        store, qs, _ = case
+        full = store.distances(qs[0])
+        cand = np.array(data.draw(st.lists(st.integers(0, store.n - 1), min_size=1,
+                                           max_size=2 * store.n)), dtype=np.int64)
+        qx = _kl_query_rows(qs[:1])[0]
+        assert _kl_rows(store._kl_terms[cand], qx).tobytes() == full[cand].tobytes()
 
     @pytest.mark.parametrize("scale", [1e30, 1e39, np.inf, np.nan])
     def test_out_of_range_row_leaves_its_block_alone(self, scale):
@@ -412,21 +509,22 @@ class TestSearchMatchesHeapScan:
     def test_search_holds_no_scan_above_the_block_budget(self):
         """256 queries over 2^15 keys would scan a 32 MiB (B, N) float32
         matrix in one block; split by search_block_rows, a block's scan and
-        its partitioned copy stay within SEARCH_BLOCK_BYTES together."""
+        its partitioned copy stay within SEARCH_BLOCK_BYTES together, for
+        either metric."""
         n, dim, b = 1 << 15, 4, 256
-        rng = Rng(33)
-        store = RepresentationStore(rng.normals(n * dim).reshape(n, dim),
-                                    np.zeros(n, np.uint32), StoreMetric.L2, 1, 0)
-        qs = rng.normals(b * dim).reshape(b, dim)
         assert b * n * 4 >= 4 * SEARCH_BLOCK_BYTES and search_block_rows(n) < b
-        tracemalloc.start()
-        try:
-            idx, dist = query(store, qs, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * SEARCH_BLOCK_BYTES
-        assert idx.shape == dist.shape == (b, 5)
+        for metric in (StoreMetric.L2, StoreMetric.KL):
+            rng = Rng(33)
+            store = random_store(rng, n, dim, 1, metric)
+            qs = random_store(rng, b, dim, 1, metric).keys.astype(np.float64)
+            tracemalloc.start()
+            try:
+                idx, dist = query(store, qs, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * SEARCH_BLOCK_BYTES
+            assert idx.shape == dist.shape == (b, 5)
 
     def test_block_rows_keep_the_scan_within_budget(self):
         assert search_block_rows(0) == search_block_rows(1) == FORWARD_BLOCK
@@ -458,7 +556,7 @@ class TestSearchMatchesHeapScan:
                        and np.array_equal(a, wide) for a in held)
         if metric == StoreMetric.L2:
             assert all(a.dtype != np.float64 for a in held)
-            assert np.shares_memory(store.keys, store._l2_scan)
+            assert np.shares_memory(store.keys, store._scan)
 
     def test_l2_query_reranks_without_the_full_distance_scan(self, monkeypatch):
         store = random_store(Rng(22), 500, 6, 3, StoreMetric.L2)
@@ -470,6 +568,70 @@ class TestSearchMatchesHeapScan:
 
         monkeypatch.setattr(RepresentationStore, "distances", no_scan)
         assert _bits(query(store, q, 7)) == expected
+
+
+# Prints the BLAS core OpenBLAS picked, then a digest of KL distances (from
+# `distances` and from the pro neighbors of a search) and of p_final for a
+# model of random weights: nothing it runs trains, so no step calls BLAS.
+_KERNEL_PROBE = """
+import ctypes, hashlib
+from pathlib import Path
+import numpy as np
+from dknn import stores
+from dknn.features import FeaturizerConfig, fit_featurizer
+from dknn.harness import SyntheticSpec, generate_synthetic
+from dknn.model import ModelParams
+from dknn.rng import Rng
+
+core = ""
+for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.restype = ctypes.c_char_p
+        core = get().decode()
+rng = Rng(7)
+f, d, c = 256, 16, 10
+params = ModelParams(w1=rng.normals(f * d).reshape(f, d), b1=rng.normals(d) * 0.2,
+                     w2=rng.normals(d * c).reshape(d, c), b2=rng.normals(c) * 0.2,
+                     label_emb=rng.normals(c * d).reshape(c, d))
+data = generate_synthetic(SyntheticSpec(n=1200, seed=7))
+feat = fit_featurizer([], FeaturizerConfig(dim=f))
+s_text, s_pro = stores.build_stores(params, feat, data)
+digest = hashlib.sha256()
+texts = data.texts[:200] + ["unseen words only", ""]
+for b in stores.iter_predictions(texts, params, feat, s_text, s_pro,
+                                 stores.InferenceConfig(k=16)):
+    digest.update(b.p_final.tobytes())
+    digest.update(np.array([nb.distance for nb in b.pro_neighbors]).tobytes())
+for i in range(0, s_pro.n, 97):
+    digest.update(s_pro.distances(s_pro.keys[i].astype(np.float64)).tobytes())
+print(core, digest.hexdigest())
+"""
+
+
+def test_kl_bits_do_not_depend_on_the_blas_kernel():
+    """KL distances and p_final are the same bits under OpenBLAS's default
+    kernels, its SSE3 (Prescott) ones and, where the CPU has AVX2 and FMA,
+    its Haswell ones: the KL scan only picks candidates, and the rerank and
+    `distances` sum each row in a fixed order."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    cores = [None, "Prescott"] + (["Haswell"] if cpu["AVX2"] and cpu["FMA3"] else [])
+    runs = []
+    for core in cores:
+        env = dict(os.environ, PYTHONPATH=str(Path(stores.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], check=True,
+                             capture_output=True, text=True, env=env, timeout=120).stdout
+        runs.append(out.split())
+    if len({name for name, _ in runs if name}) < 2:
+        pytest.skip("OpenBLAS reports no choice of kernel here")
+    assert len({digest for _, digest in runs}) == 1, runs
 
 
 def one_row(neighbors, c):
@@ -715,6 +877,21 @@ class TestPredict:
         assert [b.p_final.tobytes() for b in got] == [
             predict(t, params, feat, s_text, s_pro, cfg).p_final.tobytes() for t in ds.texts]
 
+    @pytest.mark.parametrize("text_knn, pro_knn", [(True, True), (False, False)])
+    def test_each_distribution_is_an_array_of_its_own(self, text_knn, pro_knn):
+        """A caller that keeps one breakdown's p_final keeps that row alone,
+        not its block's (B, c) arrays."""
+        params, feat, ds, s_text, s_pro = build_fixture()
+        cfg = InferenceConfig(k=3, use_text_knn=text_knn, use_pro_knn=pro_knn)
+        got = list(iter_predictions(ds.texts, params, feat, s_text, s_pro, cfg))
+        for b in got:
+            fields = [getattr(b, name) for name in
+                      ("p_model", "p_text_sharp", "p_pro_sharp", "p_knn", "p_final")]
+            fields = [a for a in fields if a is not None]
+            assert len(fields) == (5 if text_knn else 2)
+            assert all(a.base is None and a.shape == (2,) for a in fields)
+        assert got[0].p_final is not got[0].p_model
+
     def test_all_breakdown_fields_are_distributions(self):
         from dknn.mathcore import is_distribution
 
@@ -829,6 +1006,16 @@ class TestPersistence:
             assert np.array_equal(loaded.keys, store.keys)
             assert np.array_equal(loaded.labels, store.labels)
 
+    def test_loaded_store_keeps_none_of_the_file_bytes(self, tmp_path):
+        params, feat, ds, s_text, s_pro = build_fixture()
+        for store in (s_text, s_pro):
+            save_store(store, tmp_path / "s.dkns")
+            loaded = load_store(tmp_path / "s.dkns")
+            for a in (v for v in vars(loaded).values() if isinstance(v, np.ndarray)):
+                while isinstance(a, np.ndarray) and a.base is not None:
+                    a = a.base
+                assert not isinstance(a, bytes)
+
     def test_header_layout(self):
         store = random_store(Rng(9), 4, 3, 2, StoreMetric.KL, fingerprint=0xDEAD)
         blob = store_bytes(store)
@@ -850,6 +1037,18 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + blob[4:])
         with pytest.raises(CorruptArtifactError):
             load_store(path)
+
+    def test_bundle_fingerprint_is_the_model_fingerprint(self, tmp_path):
+        params, feat, ds, s_text, s_pro = build_fixture()
+        save_checkpoint(params, tmp_path / "checkpoint.dknm")
+        save_sidecar(feat, ds.label_names, tmp_path / "featurizer.json")
+        save_store(s_text, tmp_path / "store_text.dkns")
+        save_store(s_pro, tmp_path / "store_pro.dkns")
+        for cfg in (InferenceConfig(), InferenceConfig(use_text_knn=False)):
+            bundle = load_bundle(tmp_path / "checkpoint.dknm", cfg=cfg)
+            assert bundle.fingerprint == model_fingerprint(params)
+            assert bundle.fingerprint == model_fingerprint(bundle.params)
+        assert load_bundle(tmp_path / "checkpoint.dknm").fingerprint is None
 
     def test_fingerprint_travels_through_file(self, tmp_path):
         params, feat, ds, s_text, _ = build_fixture()
